@@ -8,8 +8,10 @@ tuples and frozensets internally and render them to tokens on serialization.
 
 from __future__ import annotations
 
+from itertools import product as iproduct
+
 from .errors import BudgetExceededError, ValidationError
-from .terms import HOLE, Tree
+from .terms import Tree
 
 FULL_POWERSET_LIMIT = 12
 
@@ -69,19 +71,6 @@ class DtAlgebra:
         for f, i in letters:
             state = self.step(f, state)[i - 1]
         return state
-
-    def context_end_state(self, state, context):
-        def walk(node, a):
-            if node.is_leaf:
-                return a if node.symbol == HOLE else None
-            targets = self.step(node.symbol, a)
-            for c, b in zip(node.children, targets):
-                end = walk(c, b)
-                if end is not None:
-                    return end
-            return None
-
-        return walk(context.tree, state)
 
 
 class NdtAlgebra:
@@ -183,6 +172,51 @@ def subset_algebra(algebra, starts=None, full_powerset=False):
     return DtAlgebra(algebra.alphabet, states, transitions)
 
 
+def saturate(seeds, rules, budget=None):
+    """Least fixpoint of bottom-up tree rules, with one witness tree per fact.
+
+    A fact is a (slot, value) pair; `seeds` lists (slot, value, tree) triples.
+    A rule (head, symbol, body, combine) derives (head, combine(values)) from
+    one known value per body slot, witnessed by `symbol` over the body
+    witnesses.  Rounds are semi-naive: body position j takes the last round's
+    new facts, earlier positions the facts known before that round and later
+    positions every fact known at the start of this one, so each combination
+    is tried once.  Facts live in insertion-ordered dicts, never sets, so the
+    witnesses do not depend on string hashing.  Returns {slot: {value:
+    witness}}, with a row for every slot named; raises BudgetExceededError as
+    soon as more than `budget` facts are known.
+    """
+    known = {}
+    for slot, value, tree in seeds:
+        known.setdefault(slot, {}).setdefault(value, tree)
+    for head, _, body, _ in rules:
+        for slot in (head, *body):
+            known.setdefault(slot, {})
+    count = sum(len(row) for row in known.values())
+    before = {slot: 0 for slot in known}
+    while True:
+        old, new, cur = {}, {}, {}
+        for slot, row in known.items():
+            cur[slot] = items = list(row.items())
+            old[slot], new[slot] = items[: before[slot]], items[before[slot] :]
+        if not any(new.values()):
+            return known
+        for head, symbol, body, combine in rules:
+            row = known[head]
+            for j, slot in enumerate(body):
+                if not new[slot]:
+                    continue
+                pools = [old[b] for b in body[:j]] + [new[slot]] + [cur[b] for b in body[j + 1 :]]
+                for combo in iproduct(*pools):
+                    value = combine([v for v, _ in combo])
+                    if value not in row:
+                        row[value] = Tree(symbol, [w for _, w in combo])
+                        count += 1
+                        if budget is not None and count > budget:
+                            raise BudgetExceededError(f"saturation passed its budget of {budget} facts")
+        before = {slot: len(items) for slot, items in cur.items()}
+
+
 class DtRecognizer:
     """Crisp deterministic recognizer: accepted iff every frontier pair is final."""
 
@@ -256,20 +290,16 @@ class NdtRecognizer:
         return bool(self.initial & self.accepting_states(t))
 
     def nonempty(self):
-        """Whether some tree is accepted, by marking productive states."""
-        productive = set()
-        for x, chosen in self.final.items():
-            productive |= chosen
-        grew = True
-        while grew:
-            grew = False
-            for f, _ in self.algebra.alphabet.symbols:
-                for a in self.algebra.states:
-                    if a in productive:
-                        continue
-                    for tup in self.algebra.choices(f, a):
-                        if all(b in productive for b in tup):
-                            productive.add(a)
-                            grew = True
-                            break
-        return bool(self.initial & productive)
+        """Whether some tree is accepted: saturates the productive states, valued True."""
+        alphabet = self.algebra.alphabet
+        seeds = [
+            (a, True, Tree(x)) for x in alphabet.leaves for a in self.algebra.states if a in self.final[x]
+        ]
+        rules = [
+            (a, f, tup, all)
+            for f, _ in alphabet.symbols
+            for a in self.algebra.states
+            for tup in self.algebra.choices(f, a)
+        ]
+        productive = saturate(seeds, rules)
+        return any(productive.get(a) for a in self.initial)

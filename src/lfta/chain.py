@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import DtAlgebra, NdtAlgebra, subset_algebra
-from .decide import ndt_compare
+from .automata import DtAlgebra, subset_algebra
+from .decide import DEFAULT_BUDGET, ndt_compare
 from .errors import NotAChainError, NotNormalizedError
 from .paths import path_degree
-from .recognizers import LDtRecognizer, LNdtRecognizer, _is_single_state, dt_to_ndt
+from .recognizers import LDtRecognizer, _capped_construction, _is_single_state, dt_to_ndt
 from .terms import Tree
 
 MAX_ROUNDS_SLACK = 1
@@ -104,31 +104,11 @@ def normalize(rec):
     lat = rec.lattice
     table = max_values(rec)
     initial = frozenset((a, table[a]) for a in rec.initial)
-    seen = set(initial)
-    queue = list(initial)
-    transitions = {f: {} for f, _ in rec.alphabet.symbols}
-    while queue:
-        state = queue.pop(0)
-        a, d = state
-        for f, _ in rec.alphabet.symbols:
-            choices = []
-            for tup in rec.algebra.choices(f, a):
-                cap = lat.meet_all(table[b] for b in tup)
-                shared = lat.meet(d, cap)
-                target = tuple((b, shared) for b in tup)
-                choices.append(target)
-                for child in target:
-                    if child not in seen:
-                        seen.add(child)
-                        queue.append(child)
-            transitions[f][state] = tuple(choices)
-    states = sorted(seen, key=repr)
-    weights = {
-        x: {(a, d): lat.meet(rec.weights[x][a], d) for (a, d) in states}
-        for x in rec.alphabet.leaves
-    }
-    algebra = NdtAlgebra(rec.alphabet, states, transitions)
-    return LNdtRecognizer(lat, algebra, initial, weights)
+
+    def options(f, a):
+        return [(tup, lat.meet_all(table[b] for b in tup)) for tup in rec.algebra.choices(f, a)]
+
+    return _capped_construction(rec, initial, options)
 
 
 def normalize_dt(rec):
@@ -188,7 +168,7 @@ def path_closure_recognizer(rec):
     return subset_recognizer(normalize(rec))
 
 
-def is_dt_recognizable(rec):
+def is_dt_recognizable(rec, budget=DEFAULT_BUDGET):
     """Whether the recognized language is deterministically recognizable.
 
     Holds exactly when the language equals its own path closure, i.e. when
@@ -197,7 +177,7 @@ def is_dt_recognizable(rec):
     require_chain(rec.lattice)
     normalized = normalize(rec)
     closure = subset_recognizer(normalized)
-    return ndt_compare(dt_to_ndt(closure), normalized)[0]
+    return ndt_compare(dt_to_ndt(closure), normalized, budget)[0]
 
 
 def _spine(alphabet, letters, leaf, filler):

@@ -64,7 +64,7 @@ def _render_recognizer(ws, name, rec):
     return "\n".join(blocks)
 
 
-def run(command, args, ws, height_bound=3, budget=10**6):
+def run(command, args, ws, budget=10**6):
     """Execute one command; returns (report text, exit code)."""
     if command == "eval":
         rec = _fuzzy(ws, args[0])
@@ -207,7 +207,7 @@ def _decide(args, ws, budget):
         return _decision(decide.ndt_equivalent(left, right, budget))
     if sub == "dt-recognizable":
         rec = _ndt_view(_fuzzy(ws, rest[0]))
-        return _decision(chain_ops.is_dt_recognizable(rec))
+        return _decision(chain_ops.is_dt_recognizable(rec, budget))
     raise UnknownCommandError(f"unknown decision {sub!r}")
 
 
@@ -217,14 +217,13 @@ def main(argv=None):
         description="Lattice-valued fuzzy top-down tree automata toolbox.",
     )
     parser.add_argument("-f", "--file", action="append", default=[], help="workspace file (repeatable)")
-    parser.add_argument("--height-bound", type=int, default=3, help="enumeration depth for bounded operations")
     parser.add_argument("--budget", type=int, default=10**6, help="guard for enumerations and fixpoints")
     parser.add_argument("command", help="command to run")
     parser.add_argument("args", nargs=argparse.REMAINDER, help="command arguments")
     ns = parser.parse_args(argv)
     try:
         ws = load(ns.file) if ns.file else Workspace()
-        report, code = run(ns.command, ns.args, ws, ns.height_bound, ns.budget)
+        report, code = run(ns.command, ns.args, ws, ns.budget)
     except FuzzyTreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,17 +12,18 @@ answer comes with a checkable counterexample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iproduct
 
-from .automata import NdtAlgebra, NdtRecognizer
+from .automata import NdtAlgebra, NdtRecognizer, saturate
 from .errors import (
-    BudgetExceededError,
     ForeignElementError,
     NonDistributiveLatticeError,
     TreeTooShortError,
 )
 from .recognizers import check_same_alphabet, check_same_lattice
 from .terms import Context, Tree, context_at
+from .transforms import _dt_product_algebra
 
 DEFAULT_BUDGET = 10**6
 
@@ -122,38 +123,29 @@ def pump_decompose(rec, t):
     return decomposition
 
 
-def _attainable(rec):
-    """Per-state sets of attainable degrees with witness trees (fixpoint)."""
-    lat = rec.lattice
-    table = {a: {} for a in rec.algebra.states}
-    for x in rec.alphabet.leaves:
-        for a in rec.algebra.states:
-            table[a].setdefault(rec.weights[x][a], Tree(x))
-    grew = True
-    while grew:
-        grew = False
-        for f, m in rec.alphabet.symbols:
-            for a in rec.algebra.states:
-                targets = rec.algebra.step(f, a)
-                options = [sorted(table[b].items(), key=repr) for b in targets]
-                for combo in iproduct(*options):
-                    value = combo[0][0]
-                    for v, _ in combo[1:]:
-                        value = lat.meet(value, v)
-                    if value not in table[a]:
-                        table[a][value] = Tree(f, [w for _, w in combo])
-                        grew = True
-    return table
+def _attainable(algebra, leaf_value, meet):
+    """Per-state attainable degrees with witness trees, by saturation.
+
+    `leaf_value(x, a)` is the degree of leaf `x` read in state `a`; an inner
+    node meets its children's degrees.
+    """
+    seeds = [(a, leaf_value(x, a), Tree(x)) for x in algebra.alphabet.leaves for a in algebra.states]
+    combine = lambda values: reduce(meet, values)
+    rules = [
+        (a, f, algebra.step(f, a), combine) for f, _ in algebra.alphabet.symbols for a in algebra.states
+    ]
+    return saturate(seeds, rules)
 
 
 def value_range(rec):
     """The exact set of degrees the recognizer attains."""
-    return frozenset(_attainable(rec)[rec.initial])
+    return frozenset(range_witnesses(rec))
 
 
 def range_witnesses(rec):
     """One tree per attainable degree."""
-    return dict(_attainable(rec)[rec.initial])
+    leaf_value = lambda x, a: rec.weights[x][a]
+    return dict(_attainable(rec.algebra, leaf_value, rec.lattice.meet)[rec.initial])
 
 
 def is_empty_support(rec):
@@ -223,33 +215,13 @@ def compare(f_rec, g_rec):
     check_same_alphabet(f_rec, g_rec)
     check_same_lattice(f_rec, g_rec)
     lat = f_rec.lattice
-    start = (f_rec.initial, g_rec.initial)
-    states = [(a, b) for a in f_rec.algebra.states for b in g_rec.algebra.states]
-    table = {s: {} for s in states}
-    for x in f_rec.alphabet.leaves:
-        for a, b in states:
-            table[(a, b)].setdefault((f_rec.weights[x][a], g_rec.weights[x][b]), Tree(x))
-    grew = True
-    while grew:
-        grew = False
-        for f, m in f_rec.alphabet.symbols:
-            for a, b in states:
-                ta = f_rec.algebra.step(f, a)
-                tb = g_rec.algebra.step(f, b)
-                options = [sorted(table[(ca, cb)].items(), key=repr) for ca, cb in zip(ta, tb)]
-                for combo in iproduct(*options):
-                    u = combo[0][0][0]
-                    v = combo[0][0][1]
-                    for (u2, v2), _ in combo[1:]:
-                        u = lat.meet(u, u2)
-                        v = lat.meet(v, v2)
-                    if (u, v) not in table[(a, b)]:
-                        table[(a, b)][(u, v)] = Tree(f, [w for _, w in combo])
-                        grew = True
-    pairs = table[start]
+    algebra = _dt_product_algebra(f_rec, g_rec)
+    leaf_value = lambda x, ab: (f_rec.weights[x][ab[0]], g_rec.weights[x][ab[1]])
+    meet = lambda p, q: (lat.meet(p[0], q[0]), lat.meet(p[1], q[1]))
+    pairs = _attainable(algebra, leaf_value, meet)[(f_rec.initial, g_rec.initial)]
     included, equivalent, disjoint = True, True, True
     inc_w = eq_w = dis_w = None
-    for (u, v), witness in sorted(pairs.items(), key=repr):
+    for (u, v), witness in pairs.items():
         if included and not lat.leq(u, v):
             included, inc_w = False, witness
         if equivalent and u != v:
@@ -260,7 +232,7 @@ def compare(f_rec, g_rec):
 
 
 def _joint_vectors(nf, ng, budget):
-    """Attainable joint degree vectors of two NDT recognizers on shared trees."""
+    """Each side's state index and the joint degree vectors two NDT recognizers attain."""
     lat = nf.lattice
     states = [("L", a) for a in nf.algebra.states] + [("R", b) for b in ng.algebra.states]
     index = {s: i for i, s in enumerate(states)}
@@ -278,28 +250,15 @@ def _joint_vectors(nf, ng, budget):
             out.append(acc)
         return tuple(out)
 
-    vectors = {}
-    for x in nf.alphabet.leaves:
-        vec = tuple(
-            (nf if side == "L" else ng).weights[x][a] for side, a in states
-        )
-        vectors.setdefault(vec, Tree(x))
-    frontier = set(vectors)
-    while frontier:
-        fresh = set()
-        known = list(vectors.items())
-        for f, m in nf.alphabet.symbols:
-            for combo in iproduct(known, repeat=m):
-                if not any(vec in frontier for vec, _ in combo):
-                    continue
-                vec = vector_for(f, [v for v, _ in combo])
-                if vec not in vectors:
-                    vectors[vec] = Tree(f, [w for _, w in combo])
-                    fresh.add(vec)
-                    if len(vectors) > budget:
-                        raise BudgetExceededError("degree-vector fixpoint exceeded budget")
-        frontier = fresh
-    return states, vectors
+    seeds = [
+        (None, tuple((nf if side == "L" else ng).weights[x][a] for side, a in states), Tree(x))
+        for x in nf.alphabet.leaves
+    ]
+    rules = [
+        (None, f, (None,) * m, lambda vectors, f=f: vector_for(f, vectors))
+        for f, m in nf.alphabet.symbols
+    ]
+    return index, saturate(seeds, rules, budget)[None]
 
 
 def ndt_compare(nf, ng, budget=DEFAULT_BUDGET):
@@ -309,9 +268,8 @@ def ndt_compare(nf, ng, budget=DEFAULT_BUDGET):
     if not nf.lattice.is_distributive():
         raise NonDistributiveLatticeError("NDT equivalence needs a distributive lattice")
     lat = nf.lattice
-    states, vectors = _joint_vectors(nf, ng, budget)
-    index = {s: i for i, s in enumerate(states)}
-    for vec, witness in sorted(vectors.items(), key=repr):
+    index, vectors = _joint_vectors(nf, ng, budget)
+    for vec, witness in vectors.items():
         left = lat.bottom
         for a in nf.initial:
             left = lat.join(left, vec[index[("L", a)]])
@@ -370,6 +328,4 @@ def level_preimage_nonempty(rec, values):
     for d in values:
         if d not in rec.lattice:
             raise ForeignElementError(f"{d!r} not in the recognizer's lattice")
-        if level_in_domain(rec, d) and level_set(rec, d).nonempty():
-            return True
-    return False
+    return not value_range(rec).isdisjoint(values)

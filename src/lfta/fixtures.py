@@ -41,6 +41,11 @@ def alphabet_mixed():
     return RankedAlphabet({"f": 2, "g": 1}, ["x", "y"])
 
 
+def alphabet_ternary():
+    """A ternary and a unary symbol over leaves x, y."""
+    return RankedAlphabet({"h": 3, "g": 1}, ["x", "y"])
+
+
 def alphabet_solo():
     """One binary symbol over the single leaf x."""
     return RankedAlphabet({"f": 2}, ["x"])

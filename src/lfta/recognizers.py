@@ -8,6 +8,8 @@ can always be rewritten into the simple form when the lattice is distributive.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .automata import NdtAlgebra
 from .errors import (
     AlphabetMismatchError,
@@ -230,11 +232,9 @@ class GeneralLNdtRecognizer:
         if not self.lattice.is_distributive():
             raise NonDistributiveLatticeError("general recognizers need a distributive lattice")
 
-    def transition_weight(self, f, state, tup):
-        return self.transition_weights[f].get((state, tuple(tup)), self.lattice.bottom)
-
     def state_degrees(self, t, _memo=None):
-        self.require_distributive()
+        if _memo is None:
+            self.require_distributive()
         memo = {} if _memo is None else _memo
         lat = self.lattice
         got = memo.get(t)
@@ -266,17 +266,9 @@ class GeneralLNdtRecognizer:
         return acc
 
     def degree_map(self, trees):
+        self.require_distributive()
         memo = {}
         return {t: self.degree(t, _memo=memo) for t in trees}
-
-    def used_weights(self):
-        """Every transition/final weight mentioned by the recognizer."""
-        out = set()
-        for rows in self.transition_weights.values():
-            out |= set(rows.values())
-        for row in self.weights.values():
-            out |= set(row.values())
-        return frozenset(out)
 
 
 # -- conversions ----------------------------------------------------------
@@ -291,26 +283,23 @@ def dt_to_ndt(rec):
     return LNdtRecognizer(rec.lattice, algebra, [rec.initial], rec.weights)
 
 
-def general_to_simple(rec):
-    """Push transition and initial weights into states.
+def _capped_construction(rec, initial, options):
+    """NDT recognizer over the (state, cap) pairs reachable from `initial`.
 
-    States of the result are (state, accumulated weight) pairs; only pairs
-    reachable from the weighted initial set are materialized.
+    `options(f, a)` lists (child tuple, weight) pairs for the transitions of
+    `f` at `a`; every child inherits the meet of its parent's cap with that
+    weight, and a leaf scores its weight in `rec` capped by the state's cap.
     """
-    rec.require_distributive()
     lat = rec.lattice
-    initial = frozenset((a, rec.initial_weights[a]) for a in rec.states)
     seen = set(initial)
-    queue = list(initial)
+    queue = deque(initial)
     transitions = {f: {} for f, _ in rec.alphabet.symbols}
     while queue:
-        state = queue.pop(0)
+        state = queue.popleft()
         a, d = state
-        for f, m in rec.alphabet.symbols:
+        for f, _ in rec.alphabet.symbols:
             choices = []
-            for (source, tup), c in sorted(rec.transition_weights[f].items(), key=repr):
-                if source != a:
-                    continue
+            for tup, c in options(f, a):
                 shared = lat.meet(d, c)
                 target = tuple((b, shared) for b in tup)
                 choices.append(target)
@@ -320,15 +309,28 @@ def general_to_simple(rec):
                         queue.append(child)
             transitions[f][state] = tuple(choices)
     states = sorted(seen, key=repr)
-    for f, _ in rec.alphabet.symbols:
-        for s in states:
-            transitions[f].setdefault(s, ())
     weights = {
         x: {(a, d): lat.meet(rec.weights[x][a], d) for (a, d) in states}
         for x in rec.alphabet.leaves
     }
     algebra = NdtAlgebra(rec.alphabet, states, transitions)
     return LNdtRecognizer(lat, algebra, initial, weights)
+
+
+def general_to_simple(rec):
+    """Push transition and initial weights into states.
+
+    States of the result are (state, accumulated weight) pairs; only pairs
+    reachable from the weighted initial set are materialized.
+    """
+    rec.require_distributive()
+    initial = frozenset((a, rec.initial_weights[a]) for a in rec.states)
+
+    def options(f, a):
+        rows = sorted(rec.transition_weights[f].items(), key=repr)
+        return [(tup, c) for (source, tup), c in rows if source == a]
+
+    return _capped_construction(rec, initial, options)
 
 
 def from_finite_language(lattice, alphabet, support):

@@ -347,9 +347,6 @@ class Context:
         filled = go(self.tree)
         return Context(filled) if isinstance(arg, Context) else filled
 
-    def non_hole_leaves(self):
-        return [s for s in self.tree.leaves() if s != HOLE]
-
     def __eq__(self, other):
         return isinstance(other, Context) and self.tree == other.tree
 

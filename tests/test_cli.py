@@ -180,6 +180,10 @@ def test_budget_flag_guards_fixpoints():
     assert main(["-f", GOLDENS, "--budget", "1000000", "decide", "ndt-equal", "UnionPair", "UnionPair"]) == 0
 
 
+def test_budget_flag_reaches_dt_recognizable():
+    assert main(["-f", GOLDENS, "--budget", "1", "decide", "dt-recognizable", "UnionPair"]) == 2
+
+
 def test_main_exit_codes(tmp_path):
     assert main(["-f", GOLDENS, "decide", "equal", "MatchedLeaves", "MatchedLeaves"]) == 0
     assert main(["-f", GOLDENS, "decide", "dt-recognizable", "UnionPair"]) == 1
