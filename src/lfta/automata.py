@@ -8,7 +8,9 @@ tuples and frozensets internally and render them to tokens on serialization.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import product as iproduct
+from math import prod
 
 from .errors import BudgetExceededError, ValidationError
 from .terms import Tree
@@ -155,10 +157,10 @@ def subset_algebra(algebra, starts=None, full_powerset=False):
 
     states = []
     seen = set()
-    queue = list(seeds)
+    queue = deque(seeds)
     transitions = {f: {} for f, _ in algebra.alphabet.symbols}
     while queue:
-        current = queue.pop(0)
+        current = queue.popleft()
         if current in seen:
             continue
         seen.add(current)
@@ -183,8 +185,9 @@ def saturate(seeds, rules, budget=None):
     positions every fact known at the start of this one, so each combination
     is tried once.  Facts live in insertion-ordered dicts, never sets, so the
     witnesses do not depend on string hashing.  Returns {slot: {value:
-    witness}}, with a row for every slot named; raises BudgetExceededError as
-    soon as more than `budget` facts are known.
+    witness}}, with a row for every slot named; raises BudgetExceededError
+    before trying more than `budget` rule combinations in all, which bounds
+    the time as well as the facts.
     """
     known = {}
     for slot, value, tree in seeds:
@@ -192,7 +195,7 @@ def saturate(seeds, rules, budget=None):
     for head, _, body, _ in rules:
         for slot in (head, *body):
             known.setdefault(slot, {})
-    count = sum(len(row) for row in known.values())
+    tried = 0
     before = {slot: 0 for slot in known}
     while True:
         old, new, cur = {}, {}, {}
@@ -207,13 +210,13 @@ def saturate(seeds, rules, budget=None):
                 if not new[slot]:
                     continue
                 pools = [old[b] for b in body[:j]] + [new[slot]] + [cur[b] for b in body[j + 1 :]]
+                tried += prod(map(len, pools))
+                if budget is not None and tried > budget:
+                    raise BudgetExceededError(f"saturation passed its budget of {budget} combinations")
                 for combo in iproduct(*pools):
                     value = combine([v for v, _ in combo])
                     if value not in row:
                         row[value] = Tree(symbol, [w for _, w in combo])
-                        count += 1
-                        if budget is not None and count > budget:
-                            raise BudgetExceededError(f"saturation passed its budget of {budget} facts")
         before = {slot: len(items) for slot, items in cur.items()}
 
 

@@ -136,7 +136,7 @@ def path_degree_ndt(rec, path, start=None):
         {start} if _is_single_state(start, rec.algebra.states) else set(start)
     )
     best = lat.bottom
-    for a in sorted(sources, key=repr):
+    for a in sources:
         for b in rec.algebra.path_states(a, path.letters):
             best = lat.join(best, rec.weights[path.leaf][b])
     return best

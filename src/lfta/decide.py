@@ -183,10 +183,7 @@ def is_finite_support(rec):
             for a in rec.algebra.states:
                 targets = rec.algebra.step(f, a)
                 for j in range(m):  # child j realizes the previous height exactly
-                    pools = [
-                        sorted(exact[b]) if i == j else sorted(cumulative[b])
-                        for i, b in enumerate(targets)
-                    ]
+                    pools = [exact[b] if i == j else cumulative[b] for i, b in enumerate(targets)]
                     for combo in iproduct(*pools):
                         fresh[a].add(lat.meet_all(combo))
         exact = fresh

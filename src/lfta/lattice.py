@@ -34,8 +34,10 @@ class Lattice:
     Built from an element list and an order relation (covering pairs or any
     subrelation whose reflexive-transitive closure is the intended partial
     order).  Construction validates that the order is a partial order with
-    unique bottom and top and that every pair has a meet and a join; the
-    binary tables are computed once and reused by every operation.
+    unique bottom and top and that every pair has a meet and a join.  The
+    meet and join tables are computed once, keyed by element
+    (`_meet[a][b]`), and reused by every operation; evaluators that have
+    validated their weights read them directly.
     """
 
     __slots__ = ("elements", "_index", "_leq", "_meet", "_join", "bottom", "top")
@@ -82,10 +84,11 @@ class Lattice:
         self._meet, self._join = self._build_tables()
 
     def _build_tables(self):
-        n = len(self.elements)
+        es = self.elements
+        n = len(es)
         leq = self._leq
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
+        meet = {a: {} for a in es}
+        join = {a: {} for a in es}
         for i in range(n):
             for j in range(n):
                 lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
@@ -93,10 +96,10 @@ class Lattice:
                 upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
                 lub = [k for k in upper if all(leq[k][m] for m in upper)]
                 if len(glb) != 1 or len(lub) != 1:
-                    pair = (self.elements[i], self.elements[j])
+                    pair = (es[i], es[j])
                     raise NotALatticeError(f"pair {pair} lacks a unique meet or join")
-                meet[i][j] = glb[0]
-                join[i][j] = lub[0]
+                meet[es[i]][es[j]] = es[glb[0]]
+                join[es[i]][es[j]] = es[lub[0]]
         return meet, join
 
     # -- basic queries -------------------------------------------------
@@ -131,31 +134,31 @@ class Lattice:
 
     def meet(self, a, b):
         self.check(a, b)
-        return self.elements[self._meet[self._index[a]][self._index[b]]]
+        return self._meet[a][b]
 
     def join(self, a, b):
         self.check(a, b)
-        return self.elements[self._join[self._index[a]][self._index[b]]]
+        return self._join[a][b]
 
     def meet_all(self, xs):
         xs = list(xs)
         if not xs:
             raise EmptySequenceError("meet of an empty sequence")
         self.check(*xs)
-        acc = self._index[xs[0]]
+        table, acc = self._meet, xs[0]
         for e in xs[1:]:
-            acc = self._meet[acc][self._index[e]]
-        return self.elements[acc]
+            acc = table[acc][e]
+        return acc
 
     def join_all(self, xs):
         xs = list(xs)
         if not xs:
             raise EmptySequenceError("join of an empty sequence")
         self.check(*xs)
-        acc = self._index[xs[0]]
+        table, acc = self._join, xs[0]
         for e in xs[1:]:
-            acc = self._join[acc][self._index[e]]
-        return self.elements[acc]
+            acc = table[acc][e]
+        return acc
 
     # -- generated substructures ---------------------------------------
 
@@ -195,18 +198,16 @@ class Lattice:
 
     def is_distributive(self):
         # O(n^3) exhaustive scan; all lattices here are desk-scale.
-        es = self.elements
-        for a, b, c in iproduct(es, repeat=3):
-            lhs = self.meet(a, self.join(b, c))
-            rhs = self.join(self.meet(a, b), self.meet(a, c))
-            if lhs != rhs:
-                return False
-        return True
+        meet, join = self._meet, self._join
+        return all(
+            meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+            for a, b, c in iproduct(self.elements, repeat=3)
+        )
 
     def zero_meet_irreducible(self):
         """True when no two nonzero elements meet to bottom."""
         nz = [e for e in self.elements if e != self.bottom]
-        return all(self.meet(a, b) != self.bottom for a, b in iproduct(nz, repeat=2))
+        return all(self._meet[a][b] != self.bottom for a, b in iproduct(nz, repeat=2))
 
     def classify(self):
         return LatticeProfile(self.is_chain(), self.is_distributive(), self.zero_meet_irreducible())

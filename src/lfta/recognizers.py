@@ -27,6 +27,48 @@ def _is_single_state(start, states):
         return False
 
 
+def _evaluate(lattice, weights, options, roots, trees):
+    """Each tree's degree: the join, over the (state, weight) pairs in `roots`,
+    of the weight met with the tree's degree from that state.
+
+    A leaf's degree from a state is its final weight there.  An inner node's
+    is the join, over the (child tuple, weight) pairs `options(symbol,
+    state)` lists, of the weight met with the children's degrees from the
+    tuple's states.  Top-down and memoized on (subtree, state) for this call
+    only, so only the pairs reachable from the roots are evaluated and each
+    option list is built once.  The lattice tables are read unchecked: the
+    weights were validated at construction.
+    """
+    meet, join, bottom = lattice._meet, lattice._join, lattice.bottom
+    memo, built = {}, {}
+
+    def degree(node, state):
+        if node.is_leaf:
+            return weights[node.symbol][state]
+        key = (node, state)
+        got = memo.get(key)
+        if got is None:
+            got = bottom
+            pair = (node.symbol, state)
+            listed = built.get(pair)
+            if listed is None:
+                listed = built[pair] = options(*pair)
+            for tup, c in listed:
+                for child, b in zip(node.children, tup):
+                    c = meet[c][degree(child, b)]
+                got = join[got][c]
+            memo[key] = got
+        return got
+
+    out = {}
+    for t in trees:
+        got = bottom
+        for a, c in roots:
+            got = join[got][meet[c][degree(t, a)]]
+        out[t] = got
+    return out
+
+
 def _check_weights(lattice, alphabet, states, weights):
     table = {}
     state_set = set(states)
@@ -64,39 +106,22 @@ class LDtRecognizer:
     def alphabet(self):
         return self.algebra.alphabet
 
-    def degree(self, t, start=None, _memo=None):
+    def degree(self, t, start=None):
         """The acceptance degree of `t` from `start` (default: initial state)."""
-        a = self.initial if start is None else start
-        memo = {} if _memo is None else _memo
-        meet = self.lattice.meet
-        step = self.algebra.step
-
-        def go(node, state):
-            if node.is_leaf:
-                return self.weights[node.symbol][state]
-            key = (node, state)
-            got = memo.get(key)
-            if got is not None:
-                return got
-            targets = step(node.symbol, state)
-            acc = go(node.children[0], targets[0])
-            for c, b in zip(node.children[1:], targets[1:]):
-                acc = meet(acc, go(c, b))
-            memo[key] = acc
-            return acc
-
-        return go(t, a)
+        return self.degree_map((t,), start)[t]
 
     def degree_map(self, trees, start=None):
         """Degrees of many trees sharing one memo; useful for enumerations."""
-        memo = {}
-        return {t: self.degree(t, start, _memo=memo) for t in trees}
+        a = self.initial if start is None else start
+        top, step = self.lattice.top, self.algebra.step
+        options = lambda f, b: ((step(f, b), top),)
+        return _evaluate(self.lattice, self.weights, options, ((a, top),), trees)
 
     def degree_by_paths(self, t, start=None):
         """Same degree computed from the run frontier instead of the recursion."""
         a = self.initial if start is None else start
         pairs = self.algebra.leaf_run(t, a)
-        return self.lattice.meet_all(self.weights[x][b] for x, b in sorted(pairs, key=repr))
+        return self.lattice.meet_all(self.weights[x][b] for x, b in pairs)
 
     def context_degree(self, start, context):
         """Degree contributed by the non-hole leaves plus the state at the hole.
@@ -148,44 +173,22 @@ class LNdtRecognizer:
     def alphabet(self):
         return self.algebra.alphabet
 
-    def state_degrees(self, t, _memo=None):
-        """The vector of degrees of `t` from every state, memoized bottom-up."""
-        memo = {} if _memo is None else _memo
-        lat = self.lattice
-        got = memo.get(t)
-        if got is not None:
-            return got
-        if t.is_leaf:
-            result = {a: self.weights[t.symbol][a] for a in self.algebra.states}
-        else:
-            child_vectors = [self.state_degrees(c, _memo=memo) for c in t.children]
-            result = {}
-            for a in self.algebra.states:
-                acc = lat.bottom
-                for tup in self.algebra.choices(t.symbol, a):
-                    v = child_vectors[0][tup[0]]
-                    for vec, b in zip(child_vectors[1:], tup[1:]):
-                        v = lat.meet(v, vec[b])
-                    acc = lat.join(acc, v)
-                result[a] = acc
-        memo[t] = result
-        return result
+    def state_degrees(self, t):
+        """The vector of degrees of `t` from every state."""
+        return {a: self.degree(t, a) for a in self.algebra.states}
 
-    def degree(self, t, start=None, _memo=None):
+    def degree(self, t, start=None):
         """Degree from a state, a set of states, or the initial set."""
-        if start is None:
-            start = self.initial
-        vector = self.state_degrees(t, _memo=_memo)
-        if _is_single_state(start, self.algebra.states):
-            return vector[start]
-        acc = self.lattice.bottom
-        for a in start:
-            acc = self.lattice.join(acc, vector[a])
-        return acc
+        return self.degree_map((t,), start)[t]
 
     def degree_map(self, trees, start=None):
-        memo = {}
-        return {t: self.degree(t, start, _memo=memo) for t in trees}
+        if start is None:
+            start = self.initial
+        elif _is_single_state(start, self.algebra.states):
+            start = (start,)
+        top, choices = self.lattice.top, self.algebra.choices
+        options = lambda f, a: [(tup, top) for tup in choices(f, a)]
+        return _evaluate(self.lattice, self.weights, options, [(a, top) for a in start], trees)
 
     def final_weights(self):
         return frozenset(v for row in self.weights.values() for v in row.values())
@@ -232,43 +235,18 @@ class GeneralLNdtRecognizer:
         if not self.lattice.is_distributive():
             raise NonDistributiveLatticeError("general recognizers need a distributive lattice")
 
-    def state_degrees(self, t, _memo=None):
-        if _memo is None:
-            self.require_distributive()
-        memo = {} if _memo is None else _memo
-        lat = self.lattice
-        got = memo.get(t)
-        if got is not None:
-            return got
-        if t.is_leaf:
-            result = {a: self.weights[t.symbol][a] for a in self.states}
-        else:
-            child_vectors = [self.state_degrees(c, _memo=memo) for c in t.children]
-            result = {}
-            for a in self.states:
-                acc = lat.bottom
-                for (state, tup), c in self.transition_weights[t.symbol].items():
-                    if state != a:
-                        continue
-                    v = c
-                    for vec, b in zip(child_vectors, tup):
-                        v = lat.meet(v, vec[b])
-                    acc = lat.join(acc, v)
-                result[a] = acc
-        memo[t] = result
-        return result
+    def _options(self, f, a):
+        """The (child tuple, weight) pairs of the transitions of `f` at `a`."""
+        return [(tup, c) for (source, tup), c in self.transition_weights[f].items() if source == a]
 
-    def degree(self, t, _memo=None):
-        vector = self.state_degrees(t, _memo=_memo)
-        acc = self.lattice.bottom
-        for a in self.states:
-            acc = self.lattice.join(acc, self.lattice.meet(self.initial_weights[a], vector[a]))
-        return acc
+    def degree(self, t):
+        return self.degree_map((t,))[t]
 
     def degree_map(self, trees):
         self.require_distributive()
-        memo = {}
-        return {t: self.degree(t, _memo=memo) for t in trees}
+        bottom = self.lattice.bottom
+        roots = [(a, c) for a, c in self.initial_weights.items() if c != bottom]
+        return _evaluate(self.lattice, self.weights, self._options, roots, trees)
 
 
 # -- conversions ----------------------------------------------------------
@@ -325,12 +303,7 @@ def general_to_simple(rec):
     """
     rec.require_distributive()
     initial = frozenset((a, rec.initial_weights[a]) for a in rec.states)
-
-    def options(f, a):
-        rows = sorted(rec.transition_weights[f].items(), key=repr)
-        return [(tup, c) for (source, tup), c in rows if source == a]
-
-    return _capped_construction(rec, initial, options)
+    return _capped_construction(rec, initial, rec._options)
 
 
 def from_finite_language(lattice, alphabet, support):

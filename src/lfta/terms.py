@@ -264,7 +264,7 @@ def delta(t):
             prefix.pop()
 
     walk(t, [])
-    return tuple(sorted(set(out)))
+    return tuple(sorted(set(out), key=str))
 
 
 def path_closure_crisp(alphabet, trees, height_bound):

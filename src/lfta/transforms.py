@@ -8,6 +8,7 @@ construction against the brute-force oracle on bounded tree enumerations.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import lattice as lat
@@ -216,18 +217,18 @@ def inverse_hom(rec, hom):
 
     start = explore({rec.initial}, top)
     seen = {start}
-    queue = [start]
+    queue = deque([start])
     transitions = {f: {} for f, _ in hom.source.symbols}
     while queue:
-        state = queue.pop(0)
+        state = queue.popleft()
         states_here, d = state
         for f, m in hom.source.symbols:
             image = hom.symbol_images[f]
             pairs = set()
-            for a in sorted(states_here, key=repr):
+            for a in states_here:
                 pairs |= rec.algebra.leaf_run(image, a)
             frontier = [
-                rec.weights[y][b] for y, b in sorted(pairs, key=repr) if rec.alphabet.is_leaf(y)
+                rec.weights[y][b] for y, b in pairs if rec.alphabet.is_leaf(y)
             ]
             d_f = lat_.meet_all(frontier) if frontier else top
             shared = lat_.meet(d, d_f)
@@ -241,13 +242,15 @@ def inverse_hom(rec, hom):
                     seen.add(child)
                     queue.append(child)
     states = sorted(seen, key=repr)
+    images = [hom.leaf_images[x] for x in hom.source.leaves]
+    from_state = {a: rec.degree_map(images, start=a) for a in set().union(*(s for s, _ in seen))}
     weights = {}
     for x in hom.source.leaves:
         image = hom.leaf_images[x]
         row = {}
         for state in states:
             states_here, d = state
-            parts = [rec.degree(image, start=a) for a in sorted(states_here, key=repr)]
+            parts = [from_state[a][image] for a in states_here]
             inner = lat_.meet_all(parts) if parts else top
             row[state] = lat_.meet(d, inner)
         weights[x] = row

@@ -4,7 +4,7 @@ import random
 
 from lfta import fixtures
 from lfta.automata import DtAlgebra, NdtAlgebra
-from lfta.recognizers import LDtRecognizer, LNdtRecognizer
+from lfta.recognizers import GeneralLNdtRecognizer, LDtRecognizer, LNdtRecognizer
 from lfta.terms import Tree
 
 
@@ -40,6 +40,25 @@ def random_ndt(rng, lattice, alphabet, max_states=4, max_choices=2):
     }
     initial = [a for a in states if rng.random() < 0.6] or [states[0]]
     return LNdtRecognizer(lattice, NdtAlgebra(alphabet, states, transitions), initial, weights)
+
+
+def random_general(rng, lattice, alphabet, max_states=3, max_choices=3):
+    """Random transition and initial weights, top and bottom included."""
+    n = rng.randint(1, max_states)
+    states = [f"q{i}" for i in range(n)]
+    transitions = {
+        f: {
+            (a, tuple(rng.choice(states) for _ in range(m))): rng.choice(lattice.elements)
+            for a in states
+            for _ in range(rng.randint(1, max_choices))
+        }
+        for f, m in alphabet.symbols
+    }
+    initial = {a: rng.choice(lattice.elements) for a in states}
+    weights = {
+        x: {a: rng.choice(lattice.elements) for a in states} for x in alphabet.leaves
+    }
+    return GeneralLNdtRecognizer(lattice, alphabet, states, transitions, initial, weights)
 
 
 def random_tree(rng, alphabet, height):

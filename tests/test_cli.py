@@ -1,3 +1,5 @@
+import re
+import shlex
 import subprocess
 import sys
 
@@ -9,6 +11,8 @@ from lfta.terms import parse_tree
 from lfta.workspace import load, load_text
 
 GOLDENS = "goldens/fixtures.lfta"
+HOMS = "goldens/homs.lfta"
+EXPECTED = "goldens/cli_expected.txt"
 
 
 def ws():
@@ -201,3 +205,14 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+def test_cli_output_matches_golden_transcript(capsys):
+    """Every `$ <command>` line of the transcript is followed by its exact stdout."""
+    with open(EXPECTED, encoding="utf-8") as handle:
+        expected = handle.read()
+    got = [expected[: expected.index("\n$ ") + 1]]  # the comment header
+    for command in re.findall(r"^\$ (.*)$", expected, re.M):
+        main(["-f", GOLDENS, "-f", HOMS, *shlex.split(command)])
+        got.append(f"$ {command}\n{capsys.readouterr().out}")
+    assert "".join(got) == expected

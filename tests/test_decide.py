@@ -1,10 +1,16 @@
 import pytest
 
 from lfta import decide, fixtures, transforms
-from lfta.errors import ForeignElementError, NonDistributiveLatticeError, TreeTooShortError
+from lfta.errors import (
+    BudgetExceededError,
+    ForeignElementError,
+    NonDistributiveLatticeError,
+    TreeTooShortError,
+)
 from lfta.oracle import enum_trees, eval_reference_map
 from lfta.recognizers import dt_to_ndt
 from lfta.terms import Tree, parse_tree
+from lfta.workspace import load
 
 from helpers import lattice_menu, random_dt, random_ndt, seeded, spine_tree
 
@@ -213,6 +219,15 @@ def test_ndt_equivalent_needs_distributive():
     rec = random_ndt(rng, lat, fixtures.alphabet_solo())
     with pytest.raises(NonDistributiveLatticeError):
         decide.ndt_equivalent(rec, rec)
+
+
+def test_ndt_compare_budget_counts_combinations():
+    # UnionPair against itself collects 4 joint vectors from 16 rule combinations
+    union = load(["goldens/fixtures.lfta"]).recognizer("UnionPair")
+    for budget in (4, 15):
+        with pytest.raises(BudgetExceededError):
+            decide.ndt_compare(union, union, budget=budget)
+    assert decide.ndt_compare(union, union, budget=16) == (True, None)
 
 
 def test_ndt_counterexample():

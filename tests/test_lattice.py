@@ -78,6 +78,17 @@ def test_meet_all_and_join_all():
         m2.meet_all(["c", "nope"])
 
 
+def test_operations_reject_foreign_elements():
+    m2 = fixtures.diamond()
+    for op in (m2.meet, m2.join, m2.leq):
+        for a, b in (("c", "nope"), ("nope", "c")):
+            with pytest.raises(ForeignElementError):
+                op(a, b)
+    for op in (m2.meet_all, m2.join_all):
+        with pytest.raises(ForeignElementError):
+            op(["nope"])
+
+
 def test_product_lattice():
     b2 = fixtures.b2()
     p = product(b2, b2)

@@ -2,7 +2,8 @@ import pytest
 
 from lfta import fixtures
 from lfta.errors import NonDistributiveLatticeError, ValidationError
-from lfta.oracle import enum_trees
+from lfta.lattice import product
+from lfta.oracle import enum_trees, eval_reference_map
 from lfta.recognizers import (
     GeneralLNdtRecognizer,
     LNdtRecognizer,
@@ -13,7 +14,7 @@ from lfta.recognizers import (
 from lfta.automata import NdtAlgebra
 from lfta.terms import RankedAlphabet, parse_context, parse_tree
 
-from helpers import lattice_menu, random_dt, random_ndt, random_tree, seeded
+from helpers import lattice_menu, random_dt, random_general, random_ndt, random_tree, seeded
 
 
 def test_matched_leaves_degrees():
@@ -248,6 +249,38 @@ def test_general_requires_distributive():
     rec = GeneralLNdtRecognizer(lat, alph, ["a"], {"f": {}}, {"a": "1"}, {"x": {"a": "1"}})
     with pytest.raises(NonDistributiveLatticeError):
         rec.require_distributive()
+
+
+def test_general_evaluation_rejects_pentagon():
+    alph = fixtures.alphabet_solo()
+    rec = GeneralLNdtRecognizer(pentagon(), alph, ["a"], {"f": {}}, {"a": "1"}, {"x": {"a": "1"}})
+    with pytest.raises(NonDistributiveLatticeError):
+        rec.degree(parse_tree("x"))
+    with pytest.raises(NonDistributiveLatticeError):
+        rec.degree_map([parse_tree("x")])
+
+
+def test_general_degree_map_matches_oracle():
+    rng = seeded(39)
+    alph = fixtures.alphabet_pair()
+    pool = enum_trees(alph, 3)
+    for lat in (fixtures.chain4(), fixtures.diamond(), product(fixtures.b2(), fixtures.chain3())):
+        for _ in range(6):
+            rec = random_general(rng, lat, alph)
+            assert rec.degree_map(pool) == eval_reference_map(rec, pool)
+
+
+def test_ndt_state_degrees_match_oracle_from_each_state():
+    rng = seeded(41)
+    alph = fixtures.alphabet_mixed()
+    pool = enum_trees(alph, 2)
+    for lat in lattice_menu():
+        rec = random_ndt(rng, lat, alph)
+        vectors = {t: rec.state_degrees(t) for t in pool}
+        for a in rec.algebra.states:
+            single = LNdtRecognizer(lat, rec.algebra, [a], rec.weights)
+            reference = eval_reference_map(single, pool)
+            assert all(vectors[t][a] == reference[t] for t in pool)
 
 
 def test_from_finite_language():
