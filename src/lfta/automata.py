@@ -184,14 +184,19 @@ def saturate(seeds, rules, budget=None):
     new facts, earlier positions the facts known before that round and later
     positions every fact known at the start of this one, so each combination
     is tried once.  Facts live in insertion-ordered dicts, never sets, so the
-    witnesses do not depend on string hashing.  Returns {slot: {value:
-    witness}}, with a row for every slot named; raises BudgetExceededError
-    before trying more than `budget` rule combinations in all, which bounds
-    the time as well as the facts.
+    discovery order does not depend on string hashing.  Yields each new fact
+    as (slot, value, witness) when it is found, so a caller that has seen
+    enough stops the fixpoint by not asking for more; raises
+    BudgetExceededError before trying more than `budget` rule combinations in
+    all, which bounds the facts and the number of `combine` calls, not the
+    cost of one call.
     """
     known = {}
     for slot, value, tree in seeds:
-        known.setdefault(slot, {}).setdefault(value, tree)
+        row = known.setdefault(slot, {})
+        if value not in row:
+            row[value] = tree
+            yield slot, value, tree
     for head, _, body, _ in rules:
         for slot in (head, *body):
             known.setdefault(slot, {})
@@ -203,7 +208,7 @@ def saturate(seeds, rules, budget=None):
             cur[slot] = items = list(row.items())
             old[slot], new[slot] = items[: before[slot]], items[before[slot] :]
         if not any(new.values()):
-            return known
+            return
         for head, symbol, body, combine in rules:
             row = known[head]
             for j, slot in enumerate(body):
@@ -216,7 +221,8 @@ def saturate(seeds, rules, budget=None):
                 for combo in iproduct(*pools):
                     value = combine([v for v, _ in combo])
                     if value not in row:
-                        row[value] = Tree(symbol, [w for _, w in combo])
+                        row[value] = witness = Tree(symbol, [w for _, w in combo])
+                        yield head, value, witness
         before = {slot: len(items) for slot, items in cur.items()}
 
 
@@ -293,7 +299,7 @@ class NdtRecognizer:
         return bool(self.initial & self.accepting_states(t))
 
     def nonempty(self):
-        """Whether some tree is accepted: saturates the productive states, valued True."""
+        """Whether some tree is accepted: saturates the productive states until an initial one appears."""
         alphabet = self.algebra.alphabet
         seeds = [
             (a, True, Tree(x)) for x in alphabet.leaves for a in self.algebra.states if a in self.final[x]
@@ -304,5 +310,4 @@ class NdtRecognizer:
             for a in self.algebra.states
             for tup in self.algebra.choices(f, a)
         ]
-        productive = saturate(seeds, rules)
-        return any(productive.get(a) for a in self.initial)
+        return any(a in self.initial for a, _, _ in saturate(seeds, rules))

@@ -134,7 +134,10 @@ def _attainable(algebra, leaf_value, meet):
     rules = [
         (a, f, algebra.step(f, a), combine) for f, _ in algebra.alphabet.symbols for a in algebra.states
     ]
-    return saturate(seeds, rules)
+    rows = {a: {} for a in algebra.states}
+    for a, value, witness in saturate(seeds, rules):
+        rows[a][value] = witness
+    return rows
 
 
 def value_range(rec):
@@ -229,51 +232,71 @@ def compare(f_rec, g_rec):
 
 
 def _joint_vectors(nf, ng, budget):
-    """Each side's state index and the joint degree vectors two NDT recognizers attain."""
-    lat = nf.lattice
-    states = [("L", a) for a in nf.algebra.states] + [("R", b) for b in ng.algebra.states]
-    index = {s: i for i, s in enumerate(states)}
+    """The joint degree vectors of two NDT recognizers, as saturation facts in discovery order.
 
-    def vector_for(symbol, child_vectors):
+    A vector holds a tree's degree from each state of `nf`, then from each
+    state of `ng`.  Each (symbol, state)'s choices are compiled once into
+    tuples of vector positions, and the tables are read unchecked: the leaf
+    weights were validated at construction and every later value comes out
+    of the tables.
+    """
+    lat = nf.lattice
+    meet, join, bottom, top = lat._meet, lat._join, lat.bottom, lat.top
+    sides = ((nf, 0), (ng, len(nf.algebra.states)))
+
+    def compile_symbol(f):
+        compiled = []
+        for rec, base in sides:
+            position = {a: base + i for i, a in enumerate(rec.algebra.states)}
+            for a in rec.algebra.states:
+                compiled.append(tuple(tuple(position[b] for b in tup) for tup in rec.algebra.choices(f, a)))
+        return tuple(compiled)
+
+    def vector_for(compiled, child_vectors):
         out = []
-        for side, a in states:
-            rec = nf if side == "L" else ng
-            acc = lat.bottom
-            for tup in rec.algebra.choices(symbol, a):
-                v = lat.top
-                for vec, b in zip(child_vectors, tup):
-                    v = lat.meet(v, vec[index[(side, b)]])
-                acc = lat.join(acc, v)
+        for choices in compiled:
+            acc = bottom
+            for tup in choices:
+                v = top
+                for vec, k in zip(child_vectors, tup):
+                    v = meet[v][vec[k]]
+                acc = join[acc][v]
             out.append(acc)
         return tuple(out)
 
     seeds = [
-        (None, tuple((nf if side == "L" else ng).weights[x][a] for side, a in states), Tree(x))
+        (None, tuple(rec.weights[x][a] for rec, _ in sides for a in rec.algebra.states), Tree(x))
         for x in nf.alphabet.leaves
     ]
     rules = [
-        (None, f, (None,) * m, lambda vectors, f=f: vector_for(f, vectors))
+        (None, f, (None,) * m, lambda vectors, compiled=compile_symbol(f): vector_for(compiled, vectors))
         for f, m in nf.alphabet.symbols
     ]
-    return index, saturate(seeds, rules, budget)[None]
+    return saturate(seeds, rules, budget)
 
 
 def ndt_compare(nf, ng, budget=DEFAULT_BUDGET):
-    """Equivalence of two NDT recognizers, with a counterexample if distinct."""
+    """Equivalence of two NDT recognizers, with a counterexample if distinct.
+
+    Stops at the first joint vector, in discovery order, whose two initial
+    joins differ; only equal recognizers saturate every vector.
+    """
     check_same_alphabet(nf, ng)
     check_same_lattice(nf, ng)
     if not nf.lattice.is_distributive():
         raise NonDistributiveLatticeError("NDT equivalence needs a distributive lattice")
     lat = nf.lattice
-    index, vectors = _joint_vectors(nf, ng, budget)
-    for vec, witness in vectors.items():
-        left = lat.bottom
-        for a in nf.initial:
-            left = lat.join(left, vec[index[("L", a)]])
-        right = lat.bottom
-        for b in ng.initial:
-            right = lat.join(right, vec[index[("R", b)]])
-        if left != right:
+    join = lat._join
+    n = len(nf.algebra.states)
+    left = [i for i, a in enumerate(nf.algebra.states) if a in nf.initial]
+    right = [n + j for j, b in enumerate(ng.algebra.states) if b in ng.initial]
+    for _, vec, witness in _joint_vectors(nf, ng, budget):
+        u = v = lat.bottom
+        for i in left:
+            u = join[u][vec[i]]
+        for j in right:
+            v = join[v][vec[j]]
+        if u != v:
             return False, witness
     return True, None
 

@@ -40,7 +40,7 @@ class Lattice:
     validated their weights read them directly.
     """
 
-    __slots__ = ("elements", "_index", "_leq", "_meet", "_join", "bottom", "top")
+    __slots__ = ("elements", "_index", "_leq", "_meet", "_join", "bottom", "top", "_distributive")
 
     def __init__(self, elements, order_pairs):
         elements = tuple(elements)
@@ -82,6 +82,7 @@ class Lattice:
         if self.bottom == self.top:
             raise MissingBoundError("trivial lattice: bottom equals top")
         self._meet, self._join = self._build_tables()
+        self._distributive = None
 
     def _build_tables(self):
         es = self.elements
@@ -197,12 +198,14 @@ class Lattice:
         return all(self._leq[i][j] or self._leq[j][i] for i in range(n) for j in range(i + 1, n))
 
     def is_distributive(self):
-        # O(n^3) exhaustive scan; all lattices here are desk-scale.
-        meet, join = self._meet, self._join
-        return all(
-            meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
-            for a, b, c in iproduct(self.elements, repeat=3)
-        )
+        # O(n^3) exhaustive scan, run once: a lattice never changes after construction.
+        if self._distributive is None:
+            meet, join = self._meet, self._join
+            self._distributive = all(
+                meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
+                for a, b, c in iproduct(self.elements, repeat=3)
+            )
+        return self._distributive
 
     def zero_meet_irreducible(self):
         """True when no two nonzero elements meet to bottom."""

@@ -200,6 +200,20 @@ def context_embed(rec, context):
     return LDtRecognizer(rec.lattice, algebra, state_of(shape), weights)
 
 
+def _sorted_repr(value):
+    """`repr`, except that frozenset members are written in sorted order.
+
+    A frozenset's own repr follows string hashing; this one does not, and it
+    equals `repr` wherever every frozenset has at most one member.
+    """
+    if isinstance(value, frozenset):
+        return f"frozenset({{{', '.join(sorted(map(_sorted_repr, value)))}}})" if value else "frozenset()"
+    if type(value) is tuple:
+        inner = ", ".join(map(_sorted_repr, value))
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    return repr(value)
+
+
 def inverse_hom(rec, hom):
     """Recognizer of t -> degree of h(t), for any tree homomorphism h.
 
@@ -241,7 +255,7 @@ def inverse_hom(rec, hom):
                 if child not in seen:
                     seen.add(child)
                     queue.append(child)
-    states = sorted(seen, key=repr)
+    states = sorted(seen, key=_sorted_repr)
     images = [hom.leaf_images[x] for x in hom.source.leaves]
     from_state = {a: rec.degree_map(images, start=a) for a in set().union(*(s for s, _ in seen))}
     weights = {}

@@ -1,14 +1,15 @@
 import pytest
 
-from lfta import decide, fixtures, transforms
+from lfta import chain as chain_ops, decide, fixtures, transforms
+from lfta.automata import NdtAlgebra, saturate
 from lfta.errors import (
     BudgetExceededError,
     ForeignElementError,
     NonDistributiveLatticeError,
     TreeTooShortError,
 )
-from lfta.oracle import enum_trees, eval_reference_map
-from lfta.recognizers import dt_to_ndt
+from lfta.oracle import enum_trees, eval_reference, eval_reference_map
+from lfta.recognizers import LNdtRecognizer, dt_to_ndt
 from lfta.terms import Tree, parse_tree
 from lfta.workspace import load
 
@@ -228,6 +229,88 @@ def test_ndt_compare_budget_counts_combinations():
         with pytest.raises(BudgetExceededError):
             decide.ndt_compare(union, union, budget=budget)
     assert decide.ndt_compare(union, union, budget=16) == (True, None)
+
+
+def test_ndt_compare_answers_unequal_pairs_within_budget():
+    # saturating every joint vector of these pairs passes 2*10**4 combinations;
+    # the first disagreeing vector comes long before that
+    lattice, alphabet = fixtures.chain4(), fixtures.alphabet_mixed()
+    for k in range(4):
+        rng = seeded(1000 + k)
+        f_rec = dt_to_ndt(random_dt(rng, lattice, alphabet, max_states=4))
+        g_rec = dt_to_ndt(random_dt(rng, lattice, alphabet, max_states=4))
+        equal, witness = decide.ndt_compare(f_rec, g_rec, budget=2 * 10**4)
+        assert not equal
+        assert eval_reference(f_rec, witness) != eval_reference(g_rec, witness)
+    nd = random_ndt(seeded(2001), lattice, alphabet, max_states=10)
+    verdict = chain_ops.is_dt_recognizable(nd, budget=2 * 10**4)
+    closure = dt_to_ndt(chain_ops.path_closure_recognizer(nd))
+    normalized = chain_ops.normalize(nd)
+    equal, witness = decide.ndt_compare(closure, normalized, budget=2 * 10**4)
+    assert equal == verdict
+    if not equal:
+        assert eval_reference(closure, witness) != eval_reference(normalized, witness)
+
+
+def _ndt_compare_after_full_saturation(nf, ng):
+    """ndt_compare's answer by the definition: every joint vector first, then a scan."""
+    lat = nf.lattice
+    named = [("L", nf, a) for a in nf.algebra.states] + [("R", ng, b) for b in ng.algebra.states]
+    position = {(side, a): i for i, (side, _, a) in enumerate(named)}
+
+    def vector_for(f, children):
+        out = []
+        for side, rec, a in named:
+            acc = lat.bottom
+            for tup in rec.algebra.choices(f, a):
+                value = lat.top
+                for child, b in zip(children, tup):
+                    value = lat.meet(value, child[position[(side, b)]])
+                acc = lat.join(acc, value)
+            out.append(acc)
+        return tuple(out)
+
+    seeds = [(None, tuple(rec.weights[x][a] for _, rec, a in named), Tree(x)) for x in nf.alphabet.leaves]
+    rules = [
+        (None, f, (None,) * m, lambda children, f=f: vector_for(f, children)) for f, m in nf.alphabet.symbols
+    ]
+    facts = list(saturate(seeds, rules))
+    for _, vector, witness in facts:
+        left = lat.join_all([lat.bottom] + [vector[position[("L", a)]] for a in nf.initial])
+        right = lat.join_all([lat.bottom] + [vector[position[("R", b)]] for b in ng.initial])
+        if left != right:
+            return False, witness
+    return True, None
+
+
+def _rewired(rng, rec):
+    """`rec` with fresh random choices: the same leaf degrees, so witnesses are inner trees."""
+    states = rec.algebra.states
+    transitions = {
+        f: {a: [tuple(rng.choice(states) for _ in range(m)) for _ in range(rng.randint(0, 2))] for a in states}
+        for f, m in rec.alphabet.symbols
+    }
+    return LNdtRecognizer(rec.lattice, NdtAlgebra(rec.alphabet, states, transitions), rec.initial, rec.weights)
+
+
+def test_ndt_compare_witness_is_first_disagreeing_vector():
+    # 64 pairs: 11 equal, 53 unequal, 23 of them with an inner-node witness
+    rng = seeded(89)
+    alphabet = fixtures.alphabet_pair()
+    pool = enum_trees(alphabet, 3)
+    heights = []
+    for lattice in (fixtures.b2(), fixtures.chain3(), fixtures.chain4(), fixtures.diamond()):
+        for n in range(16):
+            f_rec = random_ndt(rng, lattice, alphabet, max_states=3)
+            g_rec = _rewired(rng, f_rec) if n % 2 else random_ndt(rng, lattice, alphabet, max_states=3)
+            got = decide.ndt_compare(f_rec, g_rec)
+            assert got == _ndt_compare_after_full_saturation(f_rec, g_rec)
+            left, right = eval_reference_map(f_rec, pool), eval_reference_map(g_rec, pool)
+            if any(left[t] != right[t] for t in pool):
+                assert not got[0]
+            if not got[0]:
+                heights.append(got[1].height)
+    assert max(heights) >= 1
 
 
 def test_ndt_counterexample():

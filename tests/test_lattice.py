@@ -146,6 +146,31 @@ def test_classify():
     assert m2.is_distributive
 
 
+def test_is_distributive_is_computed_once_and_right():
+    def scan(lat):
+        return all(
+            lat.meet(a, lat.join(b, c)) == lat.join(lat.meet(a, b), lat.meet(a, c))
+            for a, b, c in iproduct(lat.elements, repeat=3)
+        )
+
+    m3 = validate(["0", "a", "b", "c", "1"], [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
+    n5 = validate(["0", "a", "b", "c", "1"], [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
+    lattices = [
+        fixtures.b2(),
+        fixtures.diamond(),
+        fixtures.chain4(),
+        product(fixtures.chain3(), fixtures.b2()),
+        m3,
+        n5,
+    ]
+    assert [scan(lat) for lat in lattices] == [True, True, True, True, False, False]
+    for lat in lattices:
+        assert lat._distributive is None
+        assert lat.is_distributive() == scan(lat)
+        assert lat._distributive == scan(lat)
+        assert lat.is_distributive() == scan(lat)
+
+
 def test_chain_constructor_order():
     c = chain(["bot", "mid", "top"])
     assert c.bottom == "bot" and c.top == "top"
