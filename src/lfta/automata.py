@@ -174,6 +174,21 @@ def subset_algebra(algebra, starts=None, full_powerset=False):
     return DtAlgebra(algebra.alphabet, states, transitions)
 
 
+class Budget:
+    """A number of rule combinations that a decision may try, spent in batches."""
+
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, limit=None):
+        self.limit, self.spent = limit, 0
+
+    def spend(self, combinations):
+        """Count a batch before it is tried; raises BudgetExceededError once past the limit."""
+        self.spent += combinations
+        if self.limit is not None and self.spent > self.limit:
+            raise BudgetExceededError(f"the budget of {self.limit} rule combinations ran out")
+
+
 def saturate(seeds, rules, budget=None):
     """Least fixpoint of bottom-up tree rules, with one witness tree per fact.
 
@@ -186,10 +201,11 @@ def saturate(seeds, rules, budget=None):
     is tried once.  Facts live in insertion-ordered dicts, never sets, so the
     discovery order does not depend on string hashing.  Yields each new fact
     as (slot, value, witness) when it is found, so a caller that has seen
-    enough stops the fixpoint by not asking for more; raises
-    BudgetExceededError before trying more than `budget` rule combinations in
-    all, which bounds the facts and the number of `combine` calls, not the
-    cost of one call.
+    enough stops the fixpoint by not asking for more.  Each batch of rule
+    combinations is charged to `budget` (a `Budget`, which several fixpoints
+    of one decision may draw on in turn, or None for no limit) before it is
+    tried, so BudgetExceededError bounds the facts and the number of
+    `combine` calls, not the cost of one call.
     """
     known = {}
     for slot, value, tree in seeds:
@@ -200,7 +216,8 @@ def saturate(seeds, rules, budget=None):
     for head, _, body, _ in rules:
         for slot in (head, *body):
             known.setdefault(slot, {})
-    tried = 0
+    if budget is None:
+        budget = Budget()
     before = {slot: 0 for slot in known}
     while True:
         old, new, cur = {}, {}, {}
@@ -215,9 +232,7 @@ def saturate(seeds, rules, budget=None):
                 if not new[slot]:
                     continue
                 pools = [old[b] for b in body[:j]] + [new[slot]] + [cur[b] for b in body[j + 1 :]]
-                tried += prod(map(len, pools))
-                if budget is not None and tried > budget:
-                    raise BudgetExceededError(f"saturation passed its budget of {budget} combinations")
+                budget.spend(prod(map(len, pools)))
                 for combo in iproduct(*pools):
                     value = combine([v for v, _ in combo])
                     if value not in row:

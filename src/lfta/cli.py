@@ -115,7 +115,7 @@ def run(command, args, ws, budget=10**6):
         return report, 0
     if command == "range":
         rec = _fuzzy(ws, args[0], (LDtRecognizer,))
-        values = decide.value_range(rec)
+        values = decide.value_range(rec, budget)
         ordered = [e for e in rec.lattice.elements if e in values]
         return "\n".join(ordered), 0
     if command == "pump":
@@ -188,17 +188,17 @@ def _plain(tokens):
 
 def _decide(args, ws, budget):
     sub, rest = args[0], args[1:]
-    if sub == "empty":
-        return _decision(decide.is_empty_support(_fuzzy(ws, rest[0], (LDtRecognizer,))))
-    if sub == "finite":
-        return _decision(decide.is_finite_support(_fuzzy(ws, rest[0], (LDtRecognizer,))))
-    if sub == "constant":
-        return _decision(decide.is_constant(_fuzzy(ws, rest[0], (LDtRecognizer,))))
-    if sub == "crisp":
-        return _decision(decide.is_crisp(_fuzzy(ws, rest[0], (LDtRecognizer,))))
+    unary = {
+        "empty": decide.is_empty_support,
+        "finite": decide.is_finite_support,
+        "constant": decide.is_constant,
+        "crisp": decide.is_crisp,
+    }
+    if sub in unary:
+        return _decision(unary[sub](_fuzzy(ws, rest[0], (LDtRecognizer,)), budget))
     if sub in ("included", "equal", "disjoint"):
         cmp = decide.compare(
-            _fuzzy(ws, rest[0], (LDtRecognizer,)), _fuzzy(ws, rest[1], (LDtRecognizer,))
+            _fuzzy(ws, rest[0], (LDtRecognizer,)), _fuzzy(ws, rest[1], (LDtRecognizer,)), budget
         )
         return _decision({"included": cmp.included, "equal": cmp.equivalent, "disjoint": cmp.disjoint}[sub])
     if sub == "ndt-equal":

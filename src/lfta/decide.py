@@ -7,6 +7,15 @@ enumerating trees up to the pumping bounds, the deciders run bottom-up
 fixpoints over the sets of attainable degrees (or degree vectors), which the
 bounds prove exhaustive; witness trees are carried alongside so every negative
 answer comes with a checkable counterexample.
+
+Two deterministic deciders go further.  `compare` splits the lattice into
+join-irreducible cuts: a DT degree is a meet of leaf weights, so whether a
+join-irreducible `j` lies below it is a crisp DT run, and `u <= v` holds
+exactly when every join-irreducible below `u` is below `v`.  Each cut
+saturates at most four bit pairs per product state instead of every pair of
+lattice values.  `is_finite_support` reads pumping as a graph: the support is
+infinite exactly when a cycle of (state, attained degree) nodes is reachable
+from a non-bottom degree of the initial state.
 """
 
 from __future__ import annotations
@@ -14,8 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product as iproduct
+from operator import and_
 
-from .automata import NdtAlgebra, NdtRecognizer, saturate
+from .automata import Budget, NdtAlgebra, NdtRecognizer, saturate
 from .errors import (
     ForeignElementError,
     NonDistributiveLatticeError,
@@ -123,11 +133,12 @@ def pump_decompose(rec, t):
     return decomposition
 
 
-def _attainable(algebra, leaf_value, meet):
+def _attainable(algebra, leaf_value, meet, budget=None):
     """Per-state attainable degrees with witness trees, by saturation.
 
     `leaf_value(x, a)` is the degree of leaf `x` read in state `a`; an inner
-    node meets its children's degrees.
+    node meets its children's degrees.  `budget`, a `Budget` or None, is
+    passed to `saturate`.
     """
     seeds = [(a, leaf_value(x, a), Tree(x)) for x in algebra.alphabet.leaves for a in algebra.states]
     combine = lambda values: reduce(meet, values)
@@ -135,64 +146,105 @@ def _attainable(algebra, leaf_value, meet):
         (a, f, algebra.step(f, a), combine) for f, _ in algebra.alphabet.symbols for a in algebra.states
     ]
     rows = {a: {} for a in algebra.states}
-    for a, value, witness in saturate(seeds, rules):
+    for a, value, witness in saturate(seeds, rules, budget):
         rows[a][value] = witness
     return rows
 
 
-def value_range(rec):
+def value_range(rec, budget=DEFAULT_BUDGET):
     """The exact set of degrees the recognizer attains."""
-    return frozenset(range_witnesses(rec))
+    return frozenset(range_witnesses(rec, budget))
 
 
-def range_witnesses(rec):
+def range_witnesses(rec, budget=DEFAULT_BUDGET):
     """One tree per attainable degree."""
+    return dict(_state_ranges(rec, Budget(budget))[rec.initial])
+
+
+def _state_ranges(rec, budget):
+    """Per-state attainable degrees; the meet table is read unchecked, as the weights were validated."""
+    table = rec.lattice._meet
     leaf_value = lambda x, a: rec.weights[x][a]
-    return dict(_attainable(rec.algebra, leaf_value, rec.lattice.meet)[rec.initial])
+    return _attainable(rec.algebra, leaf_value, lambda u, v: table[u][v], budget)
 
 
-def is_empty_support(rec):
-    return value_range(rec) == {rec.lattice.bottom}
+def is_empty_support(rec, budget=DEFAULT_BUDGET):
+    return value_range(rec, budget) == {rec.lattice.bottom}
 
 
-def is_constant(rec):
-    return len(value_range(rec)) == 1
+def is_constant(rec, budget=DEFAULT_BUDGET):
+    return len(value_range(rec, budget)) == 1
 
 
-def is_crisp(rec):
-    return value_range(rec) <= {rec.lattice.bottom, rec.lattice.top}
+def is_crisp(rec, budget=DEFAULT_BUDGET):
+    return value_range(rec, budget) <= {rec.lattice.bottom, rec.lattice.top}
 
 
-def is_finite_support(rec):
+def is_finite_support(rec, budget=DEFAULT_BUDGET):
     """Whether only finitely many trees score above bottom.
 
-    The support is infinite exactly when some tree taller than the height
-    bound scores a nonzero degree (it pumps up); any such witness pumps down
-    into the window (bound, 2*(bound+1)], so an exact-height scan of that
-    window decides the question.
+    A cycle test on a graph whose nodes are the pairs (state `a`, non-bottom
+    degree `u` attained from `a`).  An edge (a, u) -> (b, w) says that some
+    symbol sends `a` to `b` at some child position, and that a tree scoring
+    `w` from `b` there, beside sibling subtrees whose degrees meet to `s`,
+    scores `u = w meet s` from `a`.  Edges compose into contexts, so a cycle
+    reachable from (initial, v) pumps into trees of every height scoring `v`.
+    Conversely the subtrees along a longest path of a nonzero tree walk the
+    graph from (initial, its degree), each scoring at least that degree, so a
+    tree taller than the node count repeats a node.  Hence the support is
+    infinite exactly when a cycle is reachable from a non-bottom initial
+    node.  The edge loop counts its combinations against `budget`, as the
+    saturation before it does.
     """
     lat = rec.lattice
-    bound = height_bound(rec)
-    cumulative = {a: set() for a in rec.algebra.states}
-    exact = {a: set() for a in rec.algebra.states}
-    for x in rec.alphabet.leaves:
+    meet, bottom = lat._meet, lat.bottom
+    budget = Budget(budget)
+    live = {a: [v for v in row if v != bottom] for a, row in _state_ranges(rec, budget).items()}
+    edges = {}
+    for f, _ in rec.alphabet.symbols:
         for a in rec.algebra.states:
-            exact[a].add(rec.weights[x][a])
-    for h in range(1, 2 * (bound + 1) + 1):
-        for a in rec.algebra.states:
-            cumulative[a] |= exact[a]
-        fresh = {a: set() for a in rec.algebra.states}
-        for f, m in rec.alphabet.symbols:
-            for a in rec.algebra.states:
-                targets = rec.algebra.step(f, a)
-                for j in range(m):  # child j realizes the previous height exactly
-                    pools = [exact[b] if i == j else cumulative[b] for i, b in enumerate(targets)]
-                    for combo in iproduct(*pools):
-                        fresh[a].add(lat.meet_all(combo))
-        exact = fresh
-        if h > bound and any(v != lat.bottom for v in exact[rec.initial]):
-            return False
-    return True
+            targets = rec.algebra.step(f, a)
+            for i, b in enumerate(targets):
+                siblings = {lat.top}
+                for k, c in enumerate(targets):
+                    if k != i:
+                        budget.spend(len(siblings) * len(live[c]))
+                        siblings = {meet[s][v] for s in siblings for v in live[c]} - {bottom}
+                budget.spend(len(siblings) * len(live[b]))
+                for w in live[b]:
+                    for s in siblings:
+                        u = meet[w][s]
+                        if u != bottom:
+                            edges.setdefault((a, u), set()).add((b, w))
+    return not _reaches_cycle(edges, [(rec.initial, v) for v in live[rec.initial]])
+
+
+def _reaches_cycle(edges, starts):
+    """Whether a cycle of the graph `edges` (node -> successors) is reachable from `starts`.
+
+    Iterative depth-first search: a node is True while it is on the stack
+    and False once finished, so an edge to a True node closes a cycle.
+    """
+    on_stack = {}
+    for start in starts:
+        if start in on_stack:
+            continue
+        on_stack[start] = True
+        stack = [(start, iter(edges.get(start, ())))]
+        while stack:
+            node, successors = stack[-1]
+            for succ in successors:
+                seen = on_stack.get(succ)
+                if seen:
+                    return True
+                if seen is None:
+                    on_stack[succ] = True
+                    stack.append((succ, iter(edges.get(succ, ()))))
+                    break
+            else:
+                on_stack[node] = False
+                stack.pop()
+    return False
 
 
 @dataclass
@@ -205,30 +257,38 @@ class Comparison:
     disjointness_witness: Tree | None = None
 
 
-def compare(f_rec, g_rec):
+def compare(f_rec, g_rec, budget=DEFAULT_BUDGET):
     """Inclusion, equivalence and disjointness of two DT recognizers.
 
-    Runs the attainable-pair fixpoint over the product automaton; the set it
-    computes is the exact range of simultaneous degree pairs, so each verdict
-    comes with a witness tree when it is negative.
+    Decided one join-irreducible cut at a time.  For a join-irreducible `j`,
+    a leaf of the product automaton holds two bits, `j <= wf` and `j <= wg`,
+    and an inner node takes their "and", because `j <= x meet y` exactly when
+    `j <= x` and `j <= y`.  Saturating that algebra gives every bit pair some
+    tree attains at the initial product state, with a witness.  Every element
+    is the join of the join-irreducibles below it, so `f(t) <= g(t)` fails
+    exactly when some cut reads (1, 0) at `t`, the degrees differ exactly
+    when some cut reads (1, 0) or (0, 1), and `f(t) meet g(t)` is above
+    bottom exactly when some cut reads (1, 1).  The cuts share one `budget`,
+    and the loop stops once inclusion and disjointness both have a witness.
     """
     check_same_alphabet(f_rec, g_rec)
     check_same_lattice(f_rec, g_rec)
     lat = f_rec.lattice
     algebra = _dt_product_algebra(f_rec, g_rec)
-    leaf_value = lambda x, ab: (f_rec.weights[x][ab[0]], g_rec.weights[x][ab[1]])
-    meet = lambda p, q: (lat.meet(p[0], q[0]), lat.meet(p[1], q[1]))
-    pairs = _attainable(algebra, leaf_value, meet)[(f_rec.initial, g_rec.initial)]
-    included, equivalent, disjoint = True, True, True
-    inc_w = eq_w = dis_w = None
-    for (u, v), witness in pairs.items():
-        if included and not lat.leq(u, v):
-            included, inc_w = False, witness
-        if equivalent and u != v:
-            equivalent, eq_w = False, witness
-        if disjoint and lat.meet(u, v) != lat.bottom:
-            disjoint, dis_w = False, witness
-    return Comparison(included, equivalent, disjoint, inc_w, eq_w, dis_w)
+    start = (f_rec.initial, g_rec.initial)
+    budget = Budget(budget)
+    # first witness per cut value: 1 = j below f(t) only, 2 = below g(t) only, 3 = below both
+    witnesses = {}
+    for j in lat.join_irreducibles():
+        up = {e for e in lat.elements if lat.leq(j, e)}
+        leaf_value = lambda x, ab: (f_rec.weights[x][ab[0]] in up) | (g_rec.weights[x][ab[1]] in up) << 1
+        for value, witness in _attainable(algebra, leaf_value, and_, budget)[start].items():
+            witnesses.setdefault(value, witness)
+        if 1 in witnesses and 3 in witnesses:
+            break
+    inc_w, dis_w = witnesses.get(1), witnesses.get(3)
+    eq_w = next((w for value, w in witnesses.items() if value in (1, 2)), None)
+    return Comparison(inc_w is None, eq_w is None, dis_w is None, inc_w, eq_w, dis_w)
 
 
 def _joint_vectors(nf, ng, budget):
@@ -272,7 +332,7 @@ def _joint_vectors(nf, ng, budget):
         (None, f, (None,) * m, lambda vectors, compiled=compile_symbol(f): vector_for(compiled, vectors))
         for f, m in nf.alphabet.symbols
     ]
-    return saturate(seeds, rules, budget)
+    return saturate(seeds, rules, Budget(budget))
 
 
 def ndt_compare(nf, ng, budget=DEFAULT_BUDGET):

@@ -40,7 +40,9 @@ class Lattice:
     validated their weights read them directly.
     """
 
-    __slots__ = ("elements", "_index", "_leq", "_meet", "_join", "bottom", "top", "_distributive")
+    __slots__ = (
+        "elements", "_index", "_leq", "_meet", "_join", "bottom", "top", "_distributive", "_join_irreducibles"
+    )
 
     def __init__(self, elements, order_pairs):
         elements = tuple(elements)
@@ -83,6 +85,7 @@ class Lattice:
             raise MissingBoundError("trivial lattice: bottom equals top")
         self._meet, self._join = self._build_tables()
         self._distributive = None
+        self._join_irreducibles = None
 
     def _build_tables(self):
         es = self.elements
@@ -206,6 +209,26 @@ class Lattice:
                 for a, b, c in iproduct(self.elements, repeat=3)
             )
         return self._distributive
+
+    def join_irreducibles(self):
+        """The elements other than bottom that are not the join of the elements strictly below them.
+
+        Every element is the join of the join-irreducibles below it, so
+        `u <= v` holds exactly when each of them below `u` is below `v`.
+        Computed once, in declaration order.
+        """
+        if self._join_irreducibles is None:
+            leq, join = self._leq, self._join
+            found = []
+            for i, e in enumerate(self.elements):
+                below = self.bottom
+                for k, x in enumerate(self.elements):
+                    if k != i and leq[k][i]:
+                        below = join[below][x]
+                if below != e:
+                    found.append(e)
+            self._join_irreducibles = tuple(found)
+        return self._join_irreducibles
 
     def zero_meet_irreducible(self):
         """True when no two nonzero elements meet to bottom."""

@@ -1,15 +1,39 @@
-"""Seeded random generators shared by the property and acceptance tests."""
+"""Seeded random generators shared by the property and acceptance tests.
+
+Also the earlier DT deciders, by height layers and by pairs of lattice
+values, kept as verdict references for the cut and cycle-test versions in
+`lfta.decide`.
+"""
 
 import random
+from itertools import product as iproduct
 
-from lfta import fixtures
+from lfta import decide, fixtures
 from lfta.automata import DtAlgebra, NdtAlgebra
-from lfta.recognizers import GeneralLNdtRecognizer, LDtRecognizer, LNdtRecognizer
+from lfta.lattice import validate
+from lfta.recognizers import (
+    GeneralLNdtRecognizer,
+    LDtRecognizer,
+    LNdtRecognizer,
+    check_same_alphabet,
+    check_same_lattice,
+)
 from lfta.terms import Tree
+from lfta.transforms import _dt_product_algebra
 
 
 def lattice_menu():
     return [fixtures.b2(), fixtures.diamond(), fixtures.chain4()]
+
+
+def m3():
+    """Three atoms between 0 and 1: modular but not distributive."""
+    return validate(["0", "a", "b", "c", "1"], [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
+
+
+def n5():
+    """The pentagon 0 < a < b < 1 with c beside a and b: not modular."""
+    return validate(["0", "a", "b", "c", "1"], [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
 
 
 def random_dt(rng, lattice, alphabet, max_states=4):
@@ -80,3 +104,64 @@ def spine_tree(alphabet, height, filler=None):
 
 def seeded(n):
     return random.Random(n)
+
+
+# -- verdict references ---------------------------------------------------
+
+
+def is_finite_support_by_height_layers(rec):
+    """Whether only finitely many trees score above bottom.
+
+    The support is infinite exactly when some tree taller than the height
+    bound scores a nonzero degree (it pumps up); any such witness pumps down
+    into the window (bound, 2*(bound+1)], so an exact-height scan of that
+    window decides the question.
+    """
+    lat = rec.lattice
+    bound = decide.height_bound(rec)
+    cumulative = {a: set() for a in rec.algebra.states}
+    exact = {a: set() for a in rec.algebra.states}
+    for x in rec.alphabet.leaves:
+        for a in rec.algebra.states:
+            exact[a].add(rec.weights[x][a])
+    for h in range(1, 2 * (bound + 1) + 1):
+        for a in rec.algebra.states:
+            cumulative[a] |= exact[a]
+        fresh = {a: set() for a in rec.algebra.states}
+        for f, m in rec.alphabet.symbols:
+            for a in rec.algebra.states:
+                targets = rec.algebra.step(f, a)
+                for j in range(m):  # child j realizes the previous height exactly
+                    pools = [exact[b] if i == j else cumulative[b] for i, b in enumerate(targets)]
+                    for combo in iproduct(*pools):
+                        fresh[a].add(lat.meet_all(combo))
+        exact = fresh
+        if h > bound and any(v != lat.bottom for v in exact[rec.initial]):
+            return False
+    return True
+
+
+def compare_by_value_pairs(f_rec, g_rec):
+    """Inclusion, equivalence and disjointness of two DT recognizers.
+
+    Runs the attainable-pair fixpoint over the product automaton; the set it
+    computes is the exact range of simultaneous degree pairs, so each verdict
+    comes with a witness tree when it is negative.
+    """
+    check_same_alphabet(f_rec, g_rec)
+    check_same_lattice(f_rec, g_rec)
+    lat = f_rec.lattice
+    algebra = _dt_product_algebra(f_rec, g_rec)
+    leaf_value = lambda x, ab: (f_rec.weights[x][ab[0]], g_rec.weights[x][ab[1]])
+    meet = lambda p, q: (lat.meet(p[0], q[0]), lat.meet(p[1], q[1]))
+    pairs = decide._attainable(algebra, leaf_value, meet)[(f_rec.initial, g_rec.initial)]
+    included, equivalent, disjoint = True, True, True
+    inc_w = eq_w = dis_w = None
+    for (u, v), witness in pairs.items():
+        if included and not lat.leq(u, v):
+            included, inc_w = False, witness
+        if equivalent and u != v:
+            equivalent, eq_w = False, witness
+        if disjoint and lat.meet(u, v) != lat.bottom:
+            disjoint, dis_w = False, witness
+    return decide.Comparison(included, equivalent, disjoint, inc_w, eq_w, dis_w)

@@ -188,6 +188,15 @@ def test_budget_flag_reaches_dt_recognizable():
     assert main(["-f", GOLDENS, "--budget", "1", "decide", "dt-recognizable", "UnionPair"]) == 2
 
 
+def test_budget_flag_reaches_dt_deciders(capsys):
+    for decision in (["finite", "MatchedLeaves"], ["equal", "MatchedLeaves", "MatchedLeaves"]):
+        assert main(["-f", GOLDENS, "--budget", "1", "decide", *decision]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert main(["-f", GOLDENS, "decide", *decision]) == 0
+        assert capsys.readouterr().out == "yes\n"
+
+
 def test_main_exit_codes(tmp_path):
     assert main(["-f", GOLDENS, "decide", "equal", "MatchedLeaves", "MatchedLeaves"]) == 0
     assert main(["-f", GOLDENS, "decide", "dt-recognizable", "UnionPair"]) == 1

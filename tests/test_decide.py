@@ -1,19 +1,34 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lfta import chain as chain_ops, decide, fixtures, transforms
-from lfta.automata import NdtAlgebra, saturate
+from lfta.automata import DtAlgebra, NdtAlgebra, saturate
 from lfta.errors import (
     BudgetExceededError,
     ForeignElementError,
     NonDistributiveLatticeError,
     TreeTooShortError,
 )
+from lfta.lattice import product
 from lfta.oracle import enum_trees, eval_reference, eval_reference_map
-from lfta.recognizers import LNdtRecognizer, dt_to_ndt
-from lfta.terms import Tree, parse_tree
+from lfta.recognizers import LDtRecognizer, LNdtRecognizer, dt_to_ndt
+from lfta.terms import RankedAlphabet, Tree, parse_tree
 from lfta.workspace import load
 
-from helpers import lattice_menu, random_dt, random_ndt, seeded, spine_tree
+from helpers import (
+    compare_by_value_pairs,
+    is_finite_support_by_height_layers,
+    lattice_menu,
+    m3,
+    n5,
+    random_dt,
+    random_ndt,
+    seeded,
+    spine_tree,
+)
 
 # (alphabet, oracle enumeration height); the ternary alphabet drives the
 # saturation engine through bodies of three slots
@@ -178,6 +193,151 @@ def test_compare_witnesses_against_oracle():
             else:
                 w = result.disjointness_witness
                 assert lattice.meet(f_rec.degree(w), g_rec.degree(w)) != lattice.bottom
+
+
+def _assert_witnesses_refute(cmp, f_rec, g_rec):
+    """Every negative verdict's witness, scored by the oracle, contradicts the property."""
+    lat = f_rec.lattice
+    for holds, witness, property_holds in (
+        (cmp.included, cmp.inclusion_witness, lat.leq),
+        (cmp.equivalent, cmp.equivalence_witness, lambda u, v: u == v),
+        (cmp.disjoint, cmp.disjointness_witness, lambda u, v: lat.meet(u, v) == lat.bottom),
+    ):
+        if holds:
+            assert witness is None
+        else:
+            assert not property_holds(eval_reference(f_rec, witness), eval_reference(g_rec, witness))
+
+
+PROPERTY_LATTICES = (
+    fixtures.b2(),
+    fixtures.diamond(),
+    fixtures.chain4(),
+    product(fixtures.chain4(), fixtures.b2()),
+    m3(),
+    n5(),
+)
+PROPERTY_ALPHABETS = (fixtures.alphabet_pair(), fixtures.alphabet_solo(), fixtures.alphabet_ternary())
+
+
+@st.composite
+def _dts(draw, lattice, alphabet):
+    """A DT recognizer with 1-3 states, any wiring and any leaf weights."""
+    states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    state, value = st.sampled_from(states), st.sampled_from(lattice.elements)
+    transitions = {f: {a: tuple(draw(state) for _ in range(m)) for a in states} for f, m in alphabet.symbols}
+    weights = {x: {a: draw(value) for a in states} for x in alphabet.leaves}
+    return LDtRecognizer(lattice, DtAlgebra(alphabet, states, transitions), draw(state), weights)
+
+
+@st.composite
+def _dt_pairs(draw):
+    lattice, alphabet = draw(st.sampled_from(PROPERTY_LATTICES)), draw(st.sampled_from(PROPERTY_ALPHABETS))
+    f_rec = draw(_dts(lattice, alphabet))
+    g_rec = f_rec if draw(st.booleans()) and draw(st.booleans()) else draw(_dts(lattice, alphabet))
+    return f_rec, g_rec
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_dt_pairs())
+def test_dt_deciders_match_the_references(pair):
+    f_rec, g_rec = pair
+    assert decide.is_finite_support(f_rec) == is_finite_support_by_height_layers(f_rec)
+    cmp, reference = decide.compare(f_rec, g_rec), compare_by_value_pairs(f_rec, g_rec)
+    assert (cmp.included, cmp.equivalent, cmp.disjoint) == (
+        reference.included,
+        reference.equivalent,
+        reference.disjoint,
+    )
+    _assert_witnesses_refute(cmp, f_rec, g_rec)
+
+
+def _perfbench_gen():
+    """The benchmark's generators, whose recognizers have every state reachable."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_dt_deciders_answer_the_blowup_shapes_within_budget():
+    # the shapes that took seconds by height layers and by value pairs: a
+    # 32-state chain8 DT over h/3 g/1 for finiteness, 6-state pairs for compare
+    gen = _perfbench_gen()
+    lattice, alphabet = gen.lattices()["chain8"], gen.alphabets()["h3g1"]
+    budget = 2 * 10**5
+    rng = seeded(97)
+    big = gen.random_dt(rng, lattice, alphabet, 32)
+    assert decide.is_finite_support(big, budget) == decide.is_finite_support(gen.permuted_dt(rng, big), budget)
+    left, right = gen.random_dt(rng, lattice, alphabet, 6), gen.random_dt(rng, lattice, alphabet, 6)
+    twin = gen.permuted_dt(rng, left)
+    unequal, equal = decide.compare(left, right, budget), decide.compare(left, twin, budget)
+    assert not unequal.equivalent and equal.equivalent and equal.included
+    _assert_witnesses_refute(unequal, left, right)
+    _assert_witnesses_refute(equal, left, twin)
+
+
+def _least_budget(decision):
+    """The smallest budget under which `decision(budget)` does not raise."""
+
+    def passes(budget):
+        try:
+            decision(budget)
+        except BudgetExceededError:
+            return False
+        return True
+
+    high = 1
+    while not passes(high):
+        high *= 2
+    low = high // 2  # does not pass, unless high is 1
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (low, middle) if passes(middle) else (middle, high)
+    return high
+
+
+def test_compare_shares_one_budget_across_its_cuts():
+    # weights only at bottom and top: each of chain4's three cuts runs the
+    # one cut of b2, so together they need three times its budget
+    alphabet = fixtures.alphabet_mixed()
+    transitions = {"f": {"p": ("q", "p"), "q": ("p", "p")}, "g": {"p": ("q",), "q": ("q",)}}
+    algebra = DtAlgebra(alphabet, ["p", "q"], transitions)
+    crisp = {"x": {"p": "1", "q": "0"}, "y": {"p": "1", "q": "1"}}
+    b2_rec = LDtRecognizer(fixtures.b2(), algebra, "p", crisp)
+    chain4_rec = LDtRecognizer(fixtures.chain4(), algebra, "p", crisp)
+    one_cut = _least_budget(lambda budget: decide.compare(b2_rec, b2_rec, budget))
+    assert one_cut > 0
+    assert _least_budget(lambda budget: decide.compare(chain4_rec, chain4_rec, budget)) == 3 * one_cut
+
+
+def test_finite_support_edge_loop_draws_on_the_budget():
+    # over a unary symbol the edge loop has no siblings to meet, only the child's degrees
+    unary = RankedAlphabet({"g": 1}, ["x"])
+    loop = LDtRecognizer(fixtures.b2(), DtAlgebra(unary, ["q"], {"g": {"q": ("q",)}}), "q", {"x": {"q": "1"}})
+    for rec in (fixtures.matched_leaves(), loop):
+        saturation = _least_budget(lambda budget: decide.value_range(rec, budget))
+        with pytest.raises(BudgetExceededError):
+            decide.is_finite_support(rec, saturation)
+        assert _least_budget(lambda budget: decide.is_finite_support(rec, budget)) > saturation
+
+
+def test_finite_support_meets_each_step_with_the_siblings():
+    # a and b call each other beside siblings that score only c and only d,
+    # which meet to 0 in the diamond: every pair of steps reaches bottom, so
+    # the support {x, f(x,x)} is finite although each step alone keeps 1
+    states = ["a", "b", "p", "r", "z"]
+    algebra = DtAlgebra(
+        fixtures.alphabet_pair(),
+        states,
+        {"f": {"a": ("b", "p"), "b": ("a", "r"), "p": ("z", "z"), "r": ("z", "z"), "z": ("z", "z")}},
+    )
+    weights = dict(zip(states, ["1", "1", "c", "d", "0"]))
+    rec = LDtRecognizer(fixtures.diamond(), algebra, "a", {"x": weights, "y": weights})
+    assert decide.is_finite_support(rec)
+    assert is_finite_support_by_height_layers(rec)
 
 
 def test_ndt_equivalent_reflexive_and_permutation_stable():

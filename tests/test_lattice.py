@@ -13,6 +13,8 @@ from lfta.errors import (
 )
 from lfta.lattice import Lattice, LatticeMorphism, chain, pair_id, product, projections, validate
 
+from helpers import m3, n5
+
 
 def test_two_element_chain():
     lat = validate(["0", "1"], [("0", "1")])
@@ -153,15 +155,13 @@ def test_is_distributive_is_computed_once_and_right():
             for a, b, c in iproduct(lat.elements, repeat=3)
         )
 
-    m3 = validate(["0", "a", "b", "c", "1"], [("0", x) for x in "abc"] + [(x, "1") for x in "abc"])
-    n5 = validate(["0", "a", "b", "c", "1"], [("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")])
     lattices = [
         fixtures.b2(),
         fixtures.diamond(),
         fixtures.chain4(),
         product(fixtures.chain3(), fixtures.b2()),
-        m3,
-        n5,
+        m3(),
+        n5(),
     ]
     assert [scan(lat) for lat in lattices] == [True, True, True, True, False, False]
     for lat in lattices:
@@ -169,6 +169,31 @@ def test_is_distributive_is_computed_once_and_right():
         assert lat.is_distributive() == scan(lat)
         assert lat._distributive == scan(lat)
         assert lat.is_distributive() == scan(lat)
+
+
+def test_join_irreducibles_against_the_definition():
+    lattices = {
+        "b2": fixtures.b2(),
+        "diamond": fixtures.diamond(),
+        "chain4": fixtures.chain4(),
+        "chain8": chain([f"{i}/7" for i in range(8)]),
+        "chain4xb2": product(fixtures.chain4(), fixtures.b2()),
+        "m3": m3(),
+        "n5": n5(),
+    }
+    expected_sizes = {"b2": 1, "diamond": 2, "chain4": 3, "chain8": 7, "chain4xb2": 4, "m3": 3, "n5": 3}
+    for name, lat in lattices.items():
+        below = {e: [x for x in lat.elements if x != e and lat.leq(x, e)] for e in lat.elements}
+        by_definition = tuple(
+            e for e in lat.elements if e != lat.bottom and lat.join_all([lat.bottom] + below[e]) != e
+        )
+        assert lat._join_irreducibles is None
+        for _ in range(2):  # the second call reads the cached answer
+            got = lat.join_irreducibles()
+            assert got == by_definition and len(got) == expected_sizes[name], name
+            for e in lat.elements:
+                assert lat.join_all([lat.bottom] + [j for j in got if lat.leq(j, e)]) == e
+        assert lat._join_irreducibles is got
 
 
 def test_chain_constructor_order():
