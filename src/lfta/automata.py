@@ -15,7 +15,12 @@ from math import prod
 from .errors import BudgetExceededError, ValidationError
 from .terms import Tree
 
-FULL_POWERSET_LIMIT = 12
+
+def _is_single_state(start, states):
+    try:
+        return start in set(states)
+    except TypeError:  # unhashable: must be a collection of states
+        return False
 
 
 class DtAlgebra:
@@ -114,11 +119,7 @@ class NdtAlgebra:
 
         `start` may be a single state or an iterable of states.
         """
-        try:
-            single = start in set(self.states)
-        except TypeError:
-            single = False
-        current = {start} if single else set(start)
+        current = {start} if _is_single_state(start, self.states) else set(start)
         for f, i in letters:
             nxt = set()
             for a in current:
@@ -128,49 +129,42 @@ class NdtAlgebra:
         return frozenset(current)
 
 
-def subset_algebra(algebra, starts=None, full_powerset=False):
+def explore(alphabet, initial, expand):
+    """The states reachable from `initial`, breadth first, with their rows.
+
+    `expand(f, state)` returns the row of symbol `f` at `state` and the
+    states that row leads to.  Returns the states in discovery order, each
+    listed once, and `{symbol: {state: row}}` over them.
+    """
+    seen = dict.fromkeys(initial)  # insertion-ordered: discovery order
+    queue = deque(seen)
+    transitions = {f: {} for f, _ in alphabet.symbols}
+    while queue:
+        state = queue.popleft()
+        for f, _ in alphabet.symbols:
+            row, successors = expand(f, state)
+            transitions[f][state] = row
+            for successor in successors:
+                if successor not in seen:
+                    seen[successor] = None
+                    queue.append(successor)
+    return list(seen), transitions
+
+
+def subset_algebra(algebra, starts):
     """The deterministic algebra over state sets simulating all runs at once.
 
-    Materializes only the subsets reachable from `starts` unless
-    `full_powerset` is set (guarded to small automata).
+    Materializes only the subsets reachable from `starts`, in discovery order.
     """
-    if full_powerset:
-        if len(algebra.states) > FULL_POWERSET_LIMIT:
-            raise BudgetExceededError(
-                f"full powerset mode limited to {FULL_POWERSET_LIMIT} states"
-            )
-        seeds = []
-        n = len(algebra.states)
-        for mask in range(1 << n):
-            seeds.append(frozenset(s for i, s in enumerate(algebra.states) if mask >> i & 1))
-    else:
-        if starts is None:
-            raise ValidationError("need start sets unless full_powerset is set")
-        seeds = [frozenset(s) for s in starts]
 
-    def step(subset, f, i):
-        out = set()
-        for a in subset:
-            for tup in algebra.choices(f, a):
-                out.add(tup[i - 1])
-        return frozenset(out)
+    def expand(f, subset):
+        row = tuple(
+            frozenset(tup[i] for a in subset for tup in algebra.choices(f, a))
+            for i in range(algebra.alphabet.arity(f))
+        )
+        return row, row
 
-    states = []
-    seen = set()
-    queue = deque(seeds)
-    transitions = {f: {} for f, _ in algebra.alphabet.symbols}
-    while queue:
-        current = queue.popleft()
-        if current in seen:
-            continue
-        seen.add(current)
-        states.append(current)
-        for f, m in algebra.alphabet.symbols:
-            tup = tuple(step(current, f, i) for i in range(1, m + 1))
-            transitions[f][current] = tup
-            for child in tup:
-                if child not in seen:
-                    queue.append(child)
+    states, transitions = explore(algebra.alphabet, map(frozenset, starts), expand)
     return DtAlgebra(algebra.alphabet, states, transitions)
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import DtAlgebra, subset_algebra
+from .automata import DtAlgebra, _is_single_state, subset_algebra
 from .decide import DEFAULT_BUDGET, ndt_compare
 from .errors import NotAChainError, NotNormalizedError
 from .paths import path_degree
-from .recognizers import LDtRecognizer, _capped_construction, _is_single_state, dt_to_ndt
+from .recognizers import LDtRecognizer, _capped_construction, dt_to_ndt
 from .terms import Tree
 
 MAX_ROUNDS_SLACK = 1

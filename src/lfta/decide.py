@@ -70,61 +70,35 @@ def pump_decompose(rec, t):
     if t.height < bound + 1:
         raise TreeTooShortError(f"need height >= {bound + 1}, got {t.height}")
 
-    # maximal path as a list of child-index positions (leftmost of the tallest)
-    positions = [()]
+    # one descent along the tallest path (leftmost of the tallest), recording
+    # the child index taken and the state held at every node on it
+    path, states = [], [rec.initial]
     node = t
     while not node.is_leaf:
         best = max(range(len(node.children)), key=lambda i: node.children[i].height)
-        positions.append(positions[-1] + (best,))
+        path.append(best)
+        states.append(rec.algebra.step(node.symbol, states[-1])[best])
         node = node.children[best]
 
-    states = [rec.initial]
-    for pos in positions[1:]:
-        parent = t
-        for i in pos[:-1]:
-            parent = parent.children[i]
-        states.append(rec.algebra.step(parent.symbol, states[-1])[pos[-1]])
-
-    closure_size = len(rec.final_weight_closure())
-    wanted = closure_size + 2
-    repeated = None
+    wanted = len(rec.final_weight_closure()) + 2
+    spots = None
     for a in rec.algebra.states:
-        spots = [i for i, s in enumerate(states[:-1]) if s == a]
-        if len(spots) >= wanted:
-            repeated = spots[:wanted]
+        found = [i for i, s in enumerate(states[:-1]) if s == a]
+        if len(found) >= wanted:
+            spots = found[:wanted]
             break
-    assert repeated is not None, "pigeonhole violated; height bound is wrong"
+    assert spots is not None, "pigeonhole violated; height bound is wrong"
 
-    # contexts between consecutive occurrences of the repeated state
-    cuts = repeated
-    prefix_ctx, _ = context_at(t, positions[cuts[0]])
-    loops = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        outer, _ = context_at(t, positions[hi])
-        # the loop is the part of `outer` strictly below position lo
-        _, loop_shape = context_at(outer.tree, positions[lo])
-        loops.append(Context(loop_shape))
-    _, suffix0 = context_at(t, positions[cuts[-1]])
-
-    values = [rec.context_degree(rec.initial, prefix_ctx)[0]]
-    acc = prefix_ctx
-    for q in loops:
-        acc = acc.fill(q)
-        values.append(rec.context_degree(rec.initial, acc)[0])
-    chosen = None
-    for j in range(1, len(values)):
-        if values[j - 1] == values[j]:
-            chosen = j
-            break
+    # the context degree above each occurrence of the repeated state; the
+    # loop between the first two occurrences with equal degrees pumps
+    values = [rec.context_degree(rec.initial, context_at(t, path[:i])[0])[0] for i in spots]
+    chosen = next((j for j in range(1, len(values)) if values[j - 1] == values[j]), None)
     assert chosen is not None, "no stabilizing loop; closure bound is wrong"
 
-    prefix = prefix_ctx
-    for q in loops[: chosen - 1]:
-        prefix = prefix.fill(q)
-    suffix = suffix0
-    for q in reversed(loops[chosen:]):
-        suffix = q.fill(suffix)
-    decomposition = PumpDecomposition(prefix, loops[chosen - 1], suffix)
+    lo, hi = spots[chosen - 1], spots[chosen]
+    prefix, below = context_at(t, path[:lo])
+    loop, suffix = context_at(below, path[lo:hi])
+    decomposition = PumpDecomposition(prefix, loop, suffix)
 
     assert decomposition.pumped(1) == t, "decomposition does not rebuild the tree"
     base = rec.degree(t)
@@ -379,15 +353,13 @@ def level_set(rec, d):
     states = [(a, c) for a in rec.algebra.states for c in closure]
     transitions = {}
     for f, m in rec.alphabet.symbols:
-        rows = {}
-        for a, c in states:
-            targets = rec.algebra.step(f, a)
-            choices = []
-            for combo in iproduct(closure, repeat=m):
-                if lat.meet_all(combo) == c:
-                    choices.append(tuple(zip(targets, combo)))
-            rows[(a, c)] = tuple(choices)
-        transitions[f] = rows
+        splits = {c: [] for c in closure}  # each closure value's splits into a meet of m
+        for combo in iproduct(closure, repeat=m):
+            splits[lat.meet_all(combo)].append(combo)
+        transitions[f] = {
+            (a, c): tuple(tuple(zip(rec.algebra.step(f, a), combo)) for combo in splits[c])
+            for a, c in states
+        }
     algebra = NdtAlgebra(rec.alphabet, states, transitions)
     final = {
         x: {(a, rec.weights[x][a]) for a in rec.algebra.states}

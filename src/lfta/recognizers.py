@@ -8,9 +8,7 @@ can always be rewritten into the simple form when the lattice is distributive.
 
 from __future__ import annotations
 
-from collections import deque
-
-from .automata import NdtAlgebra
+from .automata import NdtAlgebra, _is_single_state, explore
 from .errors import (
     AlphabetMismatchError,
     LatticeMismatchError,
@@ -18,13 +16,6 @@ from .errors import (
     ValidationError,
 )
 from .terms import HOLE
-
-
-def _is_single_state(start, states):
-    try:
-        return start in set(states)
-    except TypeError:  # unhashable: must be a collection of states
-        return False
 
 
 def _evaluate(lattice, weights, options, roots, trees):
@@ -269,24 +260,17 @@ def _capped_construction(rec, initial, options):
     weight, and a leaf scores its weight in `rec` capped by the state's cap.
     """
     lat = rec.lattice
-    seen = set(initial)
-    queue = deque(initial)
-    transitions = {f: {} for f, _ in rec.alphabet.symbols}
-    while queue:
-        state = queue.popleft()
+
+    def expand(f, state):
         a, d = state
-        for f, _ in rec.alphabet.symbols:
-            choices = []
-            for tup, c in options(f, a):
-                shared = lat.meet(d, c)
-                target = tuple((b, shared) for b in tup)
-                choices.append(target)
-                for child in target:
-                    if child not in seen:
-                        seen.add(child)
-                        queue.append(child)
-            transitions[f][state] = tuple(choices)
-    states = sorted(seen, key=repr)
+        row = []
+        for tup, c in options(f, a):
+            shared = lat.meet(d, c)
+            row.append(tuple((b, shared) for b in tup))
+        return tuple(row), [child for target in row for child in target]
+
+    reached, transitions = explore(rec.alphabet, initial, expand)
+    states = sorted(reached, key=repr)
     weights = {
         x: {(a, d): lat.meet(rec.weights[x][a], d) for (a, d) in states}
         for x in rec.alphabet.leaves

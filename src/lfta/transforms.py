@@ -8,11 +8,10 @@ construction against the brute-force oracle on bounded tree enumerations.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import lattice as lat
-from .automata import DtAlgebra, DtRecognizer, NdtAlgebra
+from .automata import DtAlgebra, DtRecognizer, NdtAlgebra, explore
 from .errors import ArityMismatchError, ValidationError, ZeroNotIrreducibleError
 from .recognizers import (
     LDtRecognizer,
@@ -226,38 +225,25 @@ def inverse_hom(rec, hom):
     lat_ = rec.lattice
     top = lat_.top
 
-    def explore(state_set, d):
-        return (frozenset(state_set), d)
-
-    start = explore({rec.initial}, top)
-    seen = {start}
-    queue = deque([start])
-    transitions = {f: {} for f, _ in hom.source.symbols}
-    while queue:
-        state = queue.popleft()
+    def expand(f, state):
         states_here, d = state
-        for f, m in hom.source.symbols:
-            image = hom.symbol_images[f]
-            pairs = set()
-            for a in states_here:
-                pairs |= rec.algebra.leaf_run(image, a)
-            frontier = [
-                rec.weights[y][b] for y, b in pairs if rec.alphabet.is_leaf(y)
-            ]
-            d_f = lat_.meet_all(frontier) if frontier else top
-            shared = lat_.meet(d, d_f)
-            children = []
-            for i in range(1, m + 1):
-                hooked = frozenset(b for y, b in pairs if y == f"${i}")
-                children.append(explore(hooked, shared))
-            transitions[f][state] = tuple(children)
-            for child in children:
-                if child not in seen:
-                    seen.add(child)
-                    queue.append(child)
-    states = sorted(seen, key=_sorted_repr)
+        image = hom.symbol_images[f]
+        pairs = set()
+        for a in states_here:
+            pairs |= rec.algebra.leaf_run(image, a)
+        frontier = [rec.weights[y][b] for y, b in pairs if rec.alphabet.is_leaf(y)]
+        shared = lat_.meet(d, lat_.meet_all(frontier) if frontier else top)
+        row = tuple(
+            (frozenset(b for y, b in pairs if y == f"${i}"), shared)
+            for i in range(1, hom.source.arity(f) + 1)
+        )
+        return row, row
+
+    start = (frozenset([rec.initial]), top)
+    reached, transitions = explore(hom.source, [start], expand)
+    states = sorted(reached, key=_sorted_repr)
     images = [hom.leaf_images[x] for x in hom.source.leaves]
-    from_state = {a: rec.degree_map(images, start=a) for a in set().union(*(s for s, _ in seen))}
+    from_state = {a: rec.degree_map(images, start=a) for a in set().union(*(s for s, _ in states))}
     weights = {}
     for x in hom.source.leaves:
         image = hom.leaf_images[x]

@@ -8,7 +8,7 @@ from lfta.automata import (
     NdtRecognizer,
     subset_algebra,
 )
-from lfta.errors import BudgetExceededError, ValidationError
+from lfta.errors import ValidationError
 from lfta.terms import Tree, parse_tree
 
 from helpers import random_tree, seeded
@@ -115,16 +115,17 @@ def test_subset_algebra_empty_set_is_sink():
     assert powers.step("f", frozenset()) == (frozenset(), frozenset())
 
 
-def test_full_powerset_mode():
-    powers = subset_algebra(two_choice_ndt(), full_powerset=True)
-    assert len(powers.states) == 8
-    big = NdtAlgebra(
-        fixtures.alphabet_solo(),
-        [f"q{i}" for i in range(13)],
-        {"f": {f"q{i}": [] for i in range(13)}},
+def test_subset_algebra_lists_states_in_discovery_order():
+    # breadth first from the start sets, each set listed once where first found
+    powers = subset_algebra(two_choice_ndt(), starts=[{"b"}, {"a0"}, {"b"}])
+    assert powers.states == (
+        frozenset({"b"}),
+        frozenset({"a0"}),
+        frozenset(),
+        frozenset({"a", "b"}),
     )
-    with pytest.raises(BudgetExceededError):
-        subset_algebra(big, full_powerset=True)
+    assert powers.step("f", frozenset({"a0"})) == (frozenset({"a", "b"}),) * 2
+    assert powers.step("f", frozenset({"a", "b"})) == (frozenset({"b"}),) * 2
 
 
 def test_dt_recognizer_accepts():

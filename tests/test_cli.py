@@ -1,3 +1,6 @@
+import contextlib
+import io
+import os
 import re
 import shlex
 import subprocess
@@ -216,12 +219,41 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "1"
 
 
-def test_cli_output_matches_golden_transcript(capsys):
-    """Every `$ <command>` line of the transcript is followed by its exact stdout."""
+def golden_transcript():
     with open(EXPECTED, encoding="utf-8") as handle:
-        expected = handle.read()
+        return handle.read()
+
+
+def replay_golden_transcript():
+    """The transcript's header, then every `$ <command>` line with the stdout it gives now."""
+    expected = golden_transcript()
     got = [expected[: expected.index("\n$ ") + 1]]  # the comment header
     for command in re.findall(r"^\$ (.*)$", expected, re.M):
-        main(["-f", GOLDENS, "-f", HOMS, *shlex.split(command)])
-        got.append(f"$ {command}\n{capsys.readouterr().out}")
-    assert "".join(got) == expected
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["-f", GOLDENS, "-f", HOMS, *shlex.split(command)])
+        got.append(f"$ {command}\n{out.getvalue()}")
+    return "".join(got)
+
+
+def test_cli_output_matches_golden_transcript():
+    """Every `$ <command>` line of the transcript is followed by its exact stdout."""
+    assert replay_golden_transcript() == golden_transcript()
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_golden_transcript_is_independent_of_string_hashing(hash_seed):
+    """Construction state orders must not follow string hashing, so the
+    transcript replays byte for byte in a fresh interpreter under each fixed
+    PYTHONHASHSEED."""
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(filter(None, [tests_dir, os.environ.get("PYTHONPATH")]))
+    script = "import sys, test_cli; sys.stdout.buffer.write(test_cli.replay_golden_transcript().encode())"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=os.path.dirname(tests_dir),
+        env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == golden_transcript().encode()
