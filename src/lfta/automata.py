@@ -64,13 +64,19 @@ class DtAlgebra:
         return Tree((t.symbol, state), [self.run(c, b) for c, b in zip(t.children, targets)])
 
     def leaf_run(self, t, state):
-        """The set of (leaf symbol, state) pairs at the frontier of the run."""
-        if t.is_leaf:
-            return frozenset([(t.symbol, state)])
-        targets = self.step(t.symbol, state)
-        out = set()
-        for c, b in zip(t.children, targets):
-            out |= self.leaf_run(c, b)
+        """The set of (leaf symbol, state) pairs at the frontier of the run.
+
+        One pass over `t` with an explicit stack, so deep trees need no
+        recursion.
+        """
+        transitions, out = self.transitions, set()
+        stack = [(t, state)]
+        while stack:
+            node, a = stack.pop()
+            if node.children:
+                stack.extend(zip(node.children, transitions[node.symbol][a]))
+            else:
+                out.add((node.symbol, a))
         return frozenset(out)
 
     def path_state(self, state, letters):

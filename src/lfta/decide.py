@@ -71,13 +71,22 @@ def pump_decompose(rec, t):
         raise TreeTooShortError(f"need height >= {bound + 1}, got {t.height}")
 
     # one descent along the tallest path (leftmost of the tallest), recording
-    # the child index taken and the state held at every node on it
-    path, states = [], [rec.initial]
+    # the child index taken, the state held at every node on it and the
+    # context degree above that node: the meet of the degrees of the
+    # off-path siblings higher up (a bare hole scores top)
+    meet = rec.lattice._meet
+    path, states, values = [], [rec.initial], [rec.lattice.top]
     node = t
     while not node.is_leaf:
         best = max(range(len(node.children)), key=lambda i: node.children[i].height)
+        targets = rec.algebra.step(node.symbol, states[-1])
+        value = values[-1]
+        for i, (child, b) in enumerate(zip(node.children, targets)):
+            if i != best:
+                value = meet[value][rec.degree_by_paths(child, b)]
         path.append(best)
-        states.append(rec.algebra.step(node.symbol, states[-1])[best])
+        states.append(targets[best])
+        values.append(value)
         node = node.children[best]
 
     wanted = len(rec.final_weight_closure()) + 2
@@ -89,10 +98,9 @@ def pump_decompose(rec, t):
             break
     assert spots is not None, "pigeonhole violated; height bound is wrong"
 
-    # the context degree above each occurrence of the repeated state; the
-    # loop between the first two occurrences with equal degrees pumps
-    values = [rec.context_degree(rec.initial, context_at(t, path[:i])[0])[0] for i in spots]
-    chosen = next((j for j in range(1, len(values)) if values[j - 1] == values[j]), None)
+    # the loop between the first two occurrences of the repeated state with
+    # equal context degrees above them pumps
+    chosen = next((j for j in range(1, len(spots)) if values[spots[j - 1]] == values[spots[j]]), None)
     assert chosen is not None, "no stabilizing loop; closure bound is wrong"
 
     lo, hi = spots[chosen - 1], spots[chosen]

@@ -27,10 +27,13 @@ def _evaluate(lattice, weights, options, roots, trees):
     state)` lists, of the weight met with the children's degrees from the
     tuple's states.  Top-down and memoized on (subtree, state) for this call
     only, so only the pairs reachable from the roots are evaluated and each
-    option list is built once.  The lattice tables are read unchecked: the
-    weights were validated at construction.
+    option list is built once.  Bottom absorbs meets and top absorbs joins,
+    so a choice stops at its first child once its meet is bottom, and a join
+    stops at the first choice (or root) that brings it to top: the skipped
+    children and choices cannot change the value.  The lattice tables are
+    read unchecked: the weights were validated at construction.
     """
-    meet, join, bottom = lattice._meet, lattice._join, lattice.bottom
+    meet, join, bottom, top = lattice._meet, lattice._join, lattice.bottom, lattice.top
     memo, built = {}, {}
 
     def degree(node, state):
@@ -46,8 +49,12 @@ def _evaluate(lattice, weights, options, roots, trees):
                 listed = built[pair] = options(*pair)
             for tup, c in listed:
                 for child, b in zip(node.children, tup):
+                    if c == bottom:
+                        break
                     c = meet[c][degree(child, b)]
                 got = join[got][c]
+                if got == top:
+                    break
             memo[key] = got
         return got
 
@@ -56,6 +63,8 @@ def _evaluate(lattice, weights, options, roots, trees):
         got = bottom
         for a, c in roots:
             got = join[got][meet[c][degree(t, a)]]
+            if got == top:
+                break
         out[t] = got
     return out
 
@@ -109,10 +118,16 @@ class LDtRecognizer:
         return _evaluate(self.lattice, self.weights, options, ((a, top),), trees)
 
     def degree_by_paths(self, t, start=None):
-        """Same degree computed from the run frontier instead of the recursion."""
+        """Same degree computed from the run frontier instead of the recursion.
+
+        The meet table is read unchecked: the weights were validated at
+        construction.
+        """
         a = self.initial if start is None else start
-        pairs = self.algebra.leaf_run(t, a)
-        return self.lattice.meet_all(self.weights[x][b] for x, b in pairs)
+        meet, weights, got = self.lattice._meet, self.weights, self.lattice.top
+        for x, b in self.algebra.leaf_run(t, a):
+            got = meet[got][weights[x][b]]
+        return got
 
     def context_degree(self, start, context):
         """Degree contributed by the non-hole leaves plus the state at the hole.
@@ -195,7 +210,7 @@ class GeneralLNdtRecognizer:
     Evaluation requires a distributive lattice.
     """
 
-    __slots__ = ("lattice", "alphabet", "states", "transition_weights", "initial_weights", "weights")
+    __slots__ = ("lattice", "alphabet", "states", "transition_weights", "initial_weights", "weights", "_by_source")
 
     def __init__(self, lattice, alphabet, states, transition_weights, initial_weights, weights):
         states = tuple(states)
@@ -219,6 +234,11 @@ class GeneralLNdtRecognizer:
         self.alphabet = alphabet
         self.states = states
         self.transition_weights = table
+        self._by_source = {}
+        for f, rows in table.items():
+            grouped = self._by_source[f] = {}
+            for (state, tup), v in rows.items():
+                grouped.setdefault(state, []).append((tup, v))
         self.initial_weights = initial_table
         self.weights = _check_weights(lattice, alphabet, states, weights)
 
@@ -227,8 +247,8 @@ class GeneralLNdtRecognizer:
             raise NonDistributiveLatticeError("general recognizers need a distributive lattice")
 
     def _options(self, f, a):
-        """The (child tuple, weight) pairs of the transitions of `f` at `a`."""
-        return [(tup, c) for (source, tup), c in self.transition_weights[f].items() if source == a]
+        """The (child tuple, weight) pairs of the transitions of `f` at `a`, in table order."""
+        return self._by_source[f].get(a, ())
 
     def degree(self, t):
         return self.degree_map((t,))[t]
@@ -258,21 +278,24 @@ def _capped_construction(rec, initial, options):
     `options(f, a)` lists (child tuple, weight) pairs for the transitions of
     `f` at `a`; every child inherits the meet of its parent's cap with that
     weight, and a leaf scores its weight in `rec` capped by the state's cap.
+    Caps and weights are lattice elements already checked at construction,
+    so the meet table is read unchecked.
     """
     lat = rec.lattice
+    meet = lat._meet
 
     def expand(f, state):
         a, d = state
         row = []
         for tup, c in options(f, a):
-            shared = lat.meet(d, c)
+            shared = meet[d][c]
             row.append(tuple((b, shared) for b in tup))
         return tuple(row), [child for target in row for child in target]
 
     reached, transitions = explore(rec.alphabet, initial, expand)
     states = sorted(reached, key=repr)
     weights = {
-        x: {(a, d): lat.meet(rec.weights[x][a], d) for (a, d) in states}
+        x: {(a, d): meet[rec.weights[x][a]][d] for (a, d) in states}
         for x in rec.alphabet.leaves
     }
     algebra = NdtAlgebra(rec.alphabet, states, transitions)

@@ -54,31 +54,30 @@ class Tree:
             object.__setattr__(self, "_height", h)
         return h
 
+    def _preorder(self):
+        """Every node once, parents before children, children left to right.
+
+        One pass with an explicit stack, so deep trees need no recursion.
+        """
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
     def subtrees(self):
-        out = {self}
-        for c in self.children:
-            out |= c.subtrees()
-        return out
+        # children are hashed before their parents, so each hash is one level deep
+        return set(reversed(list(self._preorder())))
 
     def leaf_set(self):
-        if self.is_leaf:
-            return {self.symbol}
-        out = set()
-        for c in self.children:
-            out |= c.leaf_set()
-        return out
+        return {node.symbol for node in self._preorder() if not node.children}
 
     def leaves(self):
         """Leaf symbols in left-to-right frontier order (with repeats)."""
-        if self.is_leaf:
-            return [self.symbol]
-        out = []
-        for c in self.children:
-            out.extend(c.leaves())
-        return out
+        return [node.symbol for node in self._preorder() if not node.children]
 
     def size(self):
-        return 1 + sum(c.size() for c in self.children)
+        return sum(1 for _ in self._preorder())
 
     def __eq__(self, other):
         if self is other:

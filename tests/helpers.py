@@ -2,7 +2,8 @@
 
 Also the earlier DT deciders, by height layers and by pairs of lattice
 values, kept as verdict references for the cut and cycle-test versions in
-`lfta.decide`.
+`lfta.decide`, and the evaluation kernel without its absorbing
+short-circuits, kept as the reference for `lfta.recognizers._evaluate`.
 """
 
 import random
@@ -102,6 +103,36 @@ def spine_tree(alphabet, height, filler=None):
     return t
 
 
+def caterpillar(rng, alphabet, height):
+    """A spine of `height` random symbols with random side subtrees of height <= 3."""
+    t = random_tree(rng, alphabet, 2)
+    for _ in range(height - t.height):
+        f, m = rng.choice(alphabet.symbols)
+        slot = rng.randrange(m)
+        t = Tree(f, [t if i == slot else random_tree(rng, alphabet, 3) for i in range(m)])
+    return t
+
+
+class CountingTree(Tree):
+    """A tree whose nodes count, in `asked`, how often they are asked `is_leaf`.
+
+    The evaluation kernels ask once per (subtree, state) visit, memo hits
+    included.
+    """
+
+    __slots__ = ()
+    asked = 0
+
+    @property
+    def is_leaf(self):
+        CountingTree.asked += 1
+        return not self.children
+
+
+def counting_copy(t):
+    return CountingTree(t.symbol, [counting_copy(c) for c in t.children])
+
+
 def seeded(n):
     return random.Random(n)
 
@@ -165,3 +196,39 @@ def compare_by_value_pairs(f_rec, g_rec):
         if disjoint and lat.meet(u, v) != lat.bottom:
             disjoint, dis_w = False, witness
     return decide.Comparison(included, equivalent, disjoint, inc_w, eq_w, dis_w)
+
+
+# -- evaluation reference ---------------------------------------------------
+
+
+def eager_evaluate(lattice, weights, options, roots, trees):
+    """`recognizers._evaluate` as it was before its absorbing short-circuits:
+    every child of every choice, and every choice and root, is evaluated."""
+    meet, join, bottom = lattice._meet, lattice._join, lattice.bottom
+    memo, built = {}, {}
+
+    def degree(node, state):
+        if node.is_leaf:
+            return weights[node.symbol][state]
+        key = (node, state)
+        got = memo.get(key)
+        if got is None:
+            got = bottom
+            pair = (node.symbol, state)
+            listed = built.get(pair)
+            if listed is None:
+                listed = built[pair] = options(*pair)
+            for tup, c in listed:
+                for child, b in zip(node.children, tup):
+                    c = meet[c][degree(child, b)]
+                got = join[got][c]
+            memo[key] = got
+        return got
+
+    out = {}
+    for t in trees:
+        got = bottom
+        for a, c in roots:
+            got = join[got][meet[c][degree(t, a)]]
+        out[t] = got
+    return out

@@ -9,9 +9,9 @@ from lfta.automata import (
     subset_algebra,
 )
 from lfta.errors import ValidationError
-from lfta.terms import Tree, parse_tree
+from lfta.terms import RankedAlphabet, Tree, parse_tree
 
-from helpers import random_tree, seeded
+from helpers import random_tree, seeded, spine_tree
 
 
 def dead_branch_algebra():
@@ -53,6 +53,16 @@ def test_leaf_run_agrees_with_run():
             node.symbol for node in algebra.run(t, "a0").subtrees() if node.is_leaf
         }
         assert frontier == algebra.leaf_run(t, "a0")
+
+
+def test_leaf_run_and_accepts_on_deep_spine():
+    alph = RankedAlphabet({"g": 1}, ["x"])
+    algebra = DtAlgebra(alph, ["a", "b"], {"g": {"a": ("b",), "b": ("a",)}})
+    even, odd = spine_tree(alph, 10**4), spine_tree(alph, 10**4 + 1)
+    assert algebra.leaf_run(even, "a") == {("x", "a")}
+    assert algebra.leaf_run(odd, "a") == {("x", "b")}
+    rec = DtRecognizer(algebra, "a", {"x": ["a"]})
+    assert rec.accepts(even) and not rec.accepts(odd)
 
 
 def test_path_state():

@@ -19,6 +19,7 @@ from lfta.terms import RankedAlphabet, Tree, parse_tree
 from lfta.workspace import load
 
 from helpers import (
+    caterpillar,
     compare_by_value_pairs,
     is_finite_support_by_height_layers,
     lattice_menu,
@@ -70,6 +71,19 @@ def test_pump_decompose_random_population():
         d = decide.pump_decompose(rec, t)
         base = rec.degree(t)
         assert all(rec.degree(d.pumped(k)) == base for k in range(4))
+
+
+def test_pump_loop_keeps_the_context_degree():
+    """The loop starts and ends where the context degree above the hole is the same."""
+    rng = seeded(71)
+    alph = fixtures.alphabet_mixed()
+    for _ in range(40):
+        rec = random_dt(rng, rng.choice(lattice_menu()), alph)
+        t = caterpillar(rng, alph, decide.height_bound(rec) + 1)
+        d = decide.pump_decompose(rec, t)
+        above_loop = rec.context_degree(rec.initial, d.prefix)[0]
+        below_loop = rec.context_degree(rec.initial, d.prefix.fill(d.loop))[0]
+        assert above_loop == below_loop
 
 
 def test_pump_too_short():

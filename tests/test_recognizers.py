@@ -1,20 +1,34 @@
 import pytest
 
-from lfta import fixtures
+from lfta import fixtures, recognizers
 from lfta.errors import NonDistributiveLatticeError, ValidationError
 from lfta.lattice import product
-from lfta.oracle import enum_trees, eval_reference_map
+from lfta.oracle import enum_trees, eval_reference, eval_reference_map
 from lfta.recognizers import (
     GeneralLNdtRecognizer,
+    LDtRecognizer,
     LNdtRecognizer,
     dt_to_ndt,
     from_finite_language,
     general_to_simple,
 )
-from lfta.automata import NdtAlgebra
+from lfta.automata import DtAlgebra, NdtAlgebra
 from lfta.terms import RankedAlphabet, parse_context, parse_tree
 
-from helpers import lattice_menu, random_dt, random_general, random_ndt, random_tree, seeded
+from helpers import (
+    CountingTree,
+    caterpillar,
+    counting_copy,
+    eager_evaluate,
+    lattice_menu,
+    n5,
+    random_dt,
+    random_general,
+    random_ndt,
+    random_tree,
+    seeded,
+    spine_tree,
+)
 
 
 def test_matched_leaves_degrees():
@@ -268,6 +282,67 @@ def test_general_degree_map_matches_oracle():
         for _ in range(6):
             rec = random_general(rng, lat, alph)
             assert rec.degree_map(pool) == eval_reference_map(rec, pool)
+
+
+def absorbing_cases(seed):
+    """Random DT, NDT and general recognizers whose weights include bottom and top.
+
+    General recognizers need a distributive lattice, so N5 gets DT and NDT
+    ones only.
+    """
+    rng = seeded(seed)
+    alph = fixtures.alphabet_mixed()
+    for lat in (fixtures.b2(), fixtures.chain4(), fixtures.diamond(), n5()):
+        for _ in range(3):
+            yield random_dt(rng, lat, alph)
+            yield random_ndt(rng, lat, alph, max_choices=3)
+            if lat.is_distributive():
+                yield random_general(rng, lat, alph)
+
+
+def test_absorbing_kernel_matches_oracle_on_pool():
+    pool = enum_trees(fixtures.alphabet_mixed(), 2)
+    for rec in absorbing_cases(47):
+        got = rec.degree_map(pool)
+        assert got == {t: eval_reference(rec, t) for t in pool}
+
+
+def test_absorbing_kernel_matches_eager_kernel_on_caterpillars(monkeypatch):
+    """Same degrees as the kernel without short-circuits, from fewer (subtree, state) visits."""
+    rng = seeded(53)
+    alph = fixtures.alphabet_mixed()
+    trees = [counting_copy(caterpillar(rng, alph, 40)) for _ in range(4)]
+    skipped = 0
+    for rec in absorbing_cases(59):
+        CountingTree.asked = 0
+        got = rec.degree_map(trees)
+        visits = CountingTree.asked
+        with monkeypatch.context() as m:
+            m.setattr(recognizers, "_evaluate", eager_evaluate)
+            CountingTree.asked = 0
+            assert got == rec.degree_map(trees)
+        assert visits <= CountingTree.asked
+        skipped += CountingTree.asked - visits
+    assert skipped > 0, "no short-circuit fired"
+
+
+def test_general_options_keep_table_order():
+    rng = seeded(61)
+    for lat in lattice_menu():
+        for alph in (fixtures.alphabet_pair(), fixtures.alphabet_ternary()):
+            rec = random_general(rng, lat, alph, max_states=4, max_choices=4)
+            for f, _ in alph.symbols:
+                for a in rec.states:
+                    scan = [(tup, c) for (source, tup), c in rec.transition_weights[f].items() if source == a]
+                    assert list(rec._options(f, a)) == scan
+
+
+def test_degree_by_paths_on_deep_spine():
+    alph = RankedAlphabet({"g": 1}, ["x"])
+    algebra = DtAlgebra(alph, ["a", "b"], {"g": {"a": ("b",), "b": ("a",)}})
+    rec = LDtRecognizer(fixtures.chain3(), algebra, "a", {"x": {"a": "1", "b": "d"}})
+    assert rec.degree_by_paths(spine_tree(alph, 10**4)) == "1"
+    assert rec.degree_by_paths(spine_tree(alph, 10**4 + 1)) == "d"
 
 
 def test_ndt_state_degrees_match_oracle_from_each_state():

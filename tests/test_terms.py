@@ -18,7 +18,7 @@ from lfta.terms import (
     var,
 )
 
-from helpers import random_tree, seeded
+from helpers import random_tree, seeded, spine_tree
 
 
 def test_parse_and_print_round_trip():
@@ -100,6 +100,35 @@ def test_path_closure_crisp_is_extensive_and_idempotent():
         closed = path_closure_crisp(alph, trees, bound)
         assert trees <= closed
         assert path_closure_crisp(alph, closed, bound) == closed
+
+
+def test_walks_on_deep_spine():
+    alph = RankedAlphabet({"g": 1}, ["x"])
+    t = spine_tree(alph, 10**4)
+    assert t.leaves() == ["x"]
+    assert t.leaf_set() == {"x"}
+    assert t.size() == 10**4 + 1
+    assert len(t.subtrees()) == 10**4 + 1
+    assert Context(spine_tree(alph, 10**4, filler="@")).tree.leaves() == ["@"]
+    with pytest.raises(ValidationError):
+        Context(t)
+
+
+def test_walks_match_their_recursive_definitions():
+    def frontier(node):
+        return [node.symbol] if node.is_leaf else [x for c in node.children for x in frontier(c)]
+
+    def nodes(node):
+        return [node] + [n for c in node.children for n in nodes(c)]
+
+    rng = seeded(67)
+    alph = fixtures.alphabet_ternary()
+    for _ in range(30):
+        t = random_tree(rng, alph, 4)
+        assert t.leaves() == frontier(t)
+        assert t.leaf_set() == set(frontier(t))
+        assert t.size() == len(nodes(t))
+        assert t.subtrees() == set(nodes(t))
 
 
 def test_context_fill():
