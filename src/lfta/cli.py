@@ -15,7 +15,7 @@ from . import decide, oracle, paths, transforms
 from .errors import FuzzyTreeError, UnknownCommandError
 from .recognizers import LDtRecognizer, LNdtRecognizer, dt_to_ndt
 from .terms import delta as tree_paths
-from .terms import parse_context, parse_path, parse_tree
+from .terms import HOLE, parse_context, parse_path, parse_tree
 from .workspace import (
     Workspace,
     load,
@@ -49,6 +49,18 @@ def _tree_arg(ws, rec, text):
     return t
 
 
+def _path_arg(rec, text):
+    r = parse_path(text)
+    rec.algebra.alphabet.validate_path(r)
+    return r
+
+
+def _context_arg(rec, text):
+    c = parse_context(text)
+    rec.algebra.alphabet.validate_tree(c.tree, extra_leaves=(HOLE,))
+    return c
+
+
 def _render_recognizer(ws, name, rec):
     """Recognizer as workspace blocks, with any lattice/alphabet it introduces."""
     blocks = []
@@ -72,7 +84,7 @@ def run(command, args, ws, budget=10**6):
         return str(rec.degree(t)), 0
     if command == "eval-path":
         rec = _fuzzy(ws, args[0])
-        r = parse_path(args[1])
+        r = _path_arg(rec, args[1])
         if isinstance(rec, LDtRecognizer):
             return str(paths.path_degree(rec, r)), 0
         return str(chain_ops.path_degree_ndt(rec, r)), 0
@@ -125,7 +137,7 @@ def run(command, args, ws, budget=10**6):
         return f"prefix {d.prefix}\nloop {d.loop}\nsuffix {d.suffix}", 0
     if command == "witness":
         rec = _fuzzy(ws, args[0], (LNdtRecognizer,))
-        r = parse_path(args[1])
+        r = _path_arg(rec, args[1])
         normalized = chain_ops.normalize(rec)
         t = chain_ops.witness_tree(normalized, r)
         return str(t), 0
@@ -148,9 +160,11 @@ def _transform(args, ws):
     elif sub == "topcat":
         result = transforms.top_concat(rest[0], [_fuzzy(ws, n, (LDtRecognizer,)) for n in _plain(rest[1:])])
     elif sub == "quotient":
-        result = transforms.context_quotient(_fuzzy(ws, rest[0], (LDtRecognizer,)), parse_context(rest[1]))
+        rec = _fuzzy(ws, rest[0], (LDtRecognizer,))
+        result = transforms.context_quotient(rec, _context_arg(rec, rest[1]))
     elif sub == "embed":
-        result = transforms.context_embed(_fuzzy(ws, rest[0], (LDtRecognizer,)), parse_context(rest[1]))
+        rec = _fuzzy(ws, rest[0], (LDtRecognizer,))
+        result = transforms.context_embed(rec, _context_arg(rec, rest[1]))
     elif sub == "invhom":
         result = transforms.inverse_hom(_fuzzy(ws, rest[0], (LDtRecognizer,)), ws.hom(rest[1]))
     elif sub == "image":

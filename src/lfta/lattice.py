@@ -9,7 +9,7 @@ whose carrier is exactly the labels mentioned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 
 from .errors import (
     CycleInOrderError,
@@ -168,30 +168,28 @@ class Lattice:
 
     def meet_closure(self, subset):
         """Smallest superset of `subset` closed under binary meet."""
-        closed = set(subset)
-        self.check(*closed)
-        grew = True
-        while grew:
-            grew = False
-            for a, b in combinations(sorted(closed, key=self._index.get), 2):
-                m = self.meet(a, b)
-                if m not in closed:
-                    closed.add(m)
-                    grew = True
-        return frozenset(closed)
+        return self._closure(subset, (self._meet,))
 
     def sublattice_closure(self, subset):
         """Closure of `subset` under both meet and join (empty stays empty)."""
+        return self._closure(subset, (self._meet, self._join))
+
+    def _closure(self, subset, tables):
+        """Closure of `subset` under the binary operations tabulated in `tables`.
+
+        A worklist: each element, once added, is combined with every element
+        added before it, so each pair is tried once.
+        """
         closed = set(subset)
         self.check(*closed)
-        grew = True
-        while grew:
-            grew = False
-            for a, b in combinations(sorted(closed, key=self._index.get), 2):
-                for c in (self.meet(a, b), self.join(a, b)):
+        order = sorted(closed, key=self._index.get)
+        for k, a in enumerate(order):
+            for b in order[:k]:
+                for table in tables:
+                    c = table[a][b]
                     if c not in closed:
                         closed.add(c)
-                        grew = True
+                        order.append(c)
         return frozenset(closed)
 
     # -- classification ------------------------------------------------

@@ -135,22 +135,13 @@ class LDtRecognizer:
         A bare hole contributes the top element (empty meet) and leaves the
         state unchanged.
         """
-        end = [None]
-        values = []
-
-        def walk(node, a):
-            if node.is_leaf:
-                if node.symbol == HOLE:
-                    end[0] = a
-                else:
-                    values.append(self.weights[node.symbol][a])
-                return
-            for c, b in zip(node.children, self.algebra.step(node.symbol, a)):
-                walk(c, b)
-
-        walk(context.tree, start)
-        value = self.lattice.meet_all(values) if values else self.lattice.top
-        return value, end[0]
+        meet, weights, value, end = self.lattice._meet, self.weights, self.lattice.top, None
+        for x, b in self.algebra.leaf_run(context.tree, start):
+            if x == HOLE:
+                end = b
+            else:
+                value = meet[value][weights[x][b]]
+        return value, end
 
     def final_weights(self):
         """All weights appearing in the final table."""

@@ -183,6 +183,15 @@ class RankedAlphabet:
         for c in t.children:
             self.validate_tree(c, extra_leaves)
 
+    def validate_path(self, r):
+        """Check that each letter of path word `r` names a child slot of its symbol and that it ends in a leaf."""
+        for f, i in r.letters:
+            m = self.arity(f)
+            if not 1 <= i <= m:
+                raise ValidationError(f"{f!r} has no child {i}, its arity is {m}")
+        if r.leaf not in self.leaves:
+            raise ValidationError(f"unknown leaf {r.leaf!r}")
+
 
 # -- parsing ------------------------------------------------------------
 

@@ -23,44 +23,29 @@ state names with identical behavior.
 from __future__ import annotations
 
 import re
+from functools import reduce
+from itertools import groupby
 
 from .automata import DtAlgebra, DtRecognizer, NdtAlgebra, NdtRecognizer
-from .errors import ParseError, ValidationError
+from .errors import FuzzyTreeError, ParseError, ValidationError
 from .lattice import Lattice, LatticeMorphism, chain as make_chain
 from .recognizers import LDtRecognizer, LNdtRecognizer
 from .terms import RankedAlphabet, Tree, TreeHomomorphism, parse_tree
 
-_SPECIALS = "{};:"
+_TOKEN = re.compile(r"[{};:]|[^ \t\r\n{};:#]+")
 
 
 def tokenize(text):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif ch in _SPECIALS:
-            tokens.append((ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < len(text) and text[i] not in " \t\r\n#" + _SPECIALS:
-                i += 1
-                col += 1
-            tokens.append((text[start:i], line, start_col))
-    return tokens
+    """(token, line, column) triples, both counted from 1.
+
+    Only space, tab, CR and LF separate tokens; ``#`` comments out the rest
+    of its line; each of ``{};:`` is a token of its own.
+    """
+    return [
+        (m.group(), line, m.start() + 1)
+        for line, body in enumerate(text.split("\n"), 1)
+        for m in _TOKEN.finditer(body.partition("#")[0])
+    ]
 
 
 def state_token(state):
@@ -153,53 +138,27 @@ class Workspace:
         return (
             self.lattices == other.lattices
             and self.alphabets == other.alphabets
-            and _table_eq(self.recognizers, other.recognizers)
+            and _same(self.recognizers, other.recognizers, _RECOGNIZER_FIELDS)
             and self.trees == other.trees
-            and _hom_table_eq(self.homs, other.homs)
-            and _morphism_table_eq(self.morphisms, other.morphisms)
+            and _same(self.homs, other.homs, ("source", "target", "leaf_images", "symbol_images"))
+            and _same(self.morphisms, other.morphisms, ("source", "target", "mapping"))
         )
 
 
-def _table_eq(a, b):
-    return set(a) == set(b) and all(_rec_eq(a[k], b[k]) for k in a)
+# crisp recognizers have no lattice or weights, weighted ones no final sets
+_RECOGNIZER_FIELDS = (
+    "lattice", "algebra.alphabet", "algebra.states", "algebra.transitions", "initial", "weights", "final"
+)
 
 
-def _rec_eq(r1, r2):
-    if type(r1) is not type(r2):
-        return False
-    if isinstance(r1, (LDtRecognizer, LNdtRecognizer)):
-        return (
-            r1.lattice == r2.lattice
-            and r1.algebra.alphabet == r2.algebra.alphabet
-            and r1.algebra.states == r2.algebra.states
-            and r1.algebra.transitions == r2.algebra.transitions
-            and r1.initial == r2.initial
-            and r1.weights == r2.weights
-        )
-    return (
-        r1.algebra.alphabet == r2.algebra.alphabet
-        and r1.algebra.states == r2.algebra.states
-        and r1.algebra.transitions == r2.algebra.transitions
-        and r1.initial == r2.initial
-        and r1.final == r2.final
-    )
+def _same(a, b, fields):
+    """Both tables bind the same names, each to two objects of one type that
+    agree on every dotted attribute path in `fields` (a missing one reads as None)."""
 
+    def view(obj):
+        return [reduce(lambda o, attr: getattr(o, attr, None), f.split("."), obj) for f in fields]
 
-def _hom_table_eq(a, b):
-    return set(a) == set(b) and all(
-        a[k].source == b[k].source
-        and a[k].target == b[k].target
-        and a[k].leaf_images == b[k].leaf_images
-        and a[k].symbol_images == b[k].symbol_images
-        for k in a
-    )
-
-
-def _morphism_table_eq(a, b):
-    return set(a) == set(b) and all(
-        a[k].source == b[k].source and a[k].target == b[k].target and a[k].mapping == b[k].mapping
-        for k in a
-    )
+    return a.keys() == b.keys() and all(type(a[k]) is type(b[k]) and view(a[k]) == view(b[k]) for k in a)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -207,6 +166,7 @@ def _morphism_table_eq(a, b):
 class _Parser:
     def __init__(self, text):
         self.tokens = tokenize(text)
+        self.words = [tok for tok, _, _ in self.tokens]
         self.pos = 0
 
     def peek(self):
@@ -230,20 +190,12 @@ class _Parser:
     def clauses(self):
         """Split a { ... } body into ;-separated token lists."""
         self.next("{")
-        out = [[]]
-        while True:
-            tok = self.peek()
-            if tok is None:
-                self.error("missing '}'")
-            if tok == "}":
-                self.next()
-                break
-            if tok == ";":
-                self.next()
-                out.append([])
-            else:
-                out[-1].append(self.next())
-        return [c for c in out if c]
+        try:
+            end = self.words.index("}", self.pos)
+        except ValueError:
+            raise ParseError("missing '}'") from None
+        body, self.pos = self.words[self.pos : end], end + 1
+        return [list(run) for sep, run in groupby(body, ";".__eq__) if not sep]
 
 
 def _split_pairs(tokens, sep, clause):
@@ -262,6 +214,15 @@ def _parse_arrow_pairs(tokens, what):
         raise ParseError(f"missing '->' in {what}")
     k = tokens.index("->")
     return tokens[:k], tokens[k + 1 :]
+
+
+# recognizer kind keyword -> (class, weighted, deterministic)
+_RECOGNIZER_KINDS = {
+    "ldt": (LDtRecognizer, True, True),
+    "lndt": (LNdtRecognizer, True, False),
+    "dt": (DtRecognizer, False, True),
+    "ndt": (NdtRecognizer, False, False),
+}
 
 
 def load_text(text, workspace=None):
@@ -299,43 +260,28 @@ def load_text(text, workspace=None):
                             raise ParseError(f"expected '<symbol>/<arity>', found {tok!r}")
                         symbols[sym] = int(arity)
             ws.add_alphabet(name, RankedAlphabet(symbols, leaves))
-        elif kind in ("ldt", "lndt"):
+        elif kind in _RECOGNIZER_KINDS:
+            cls, weighted, deterministic = _RECOGNIZER_KINDS[kind]
             name = p.next()
-            p.next("over")
-            lattice = ws.lattice(p.next())
+            lattice = []
+            if weighted:
+                p.next("over")
+                lattice = [ws.lattice(p.next())]
             p.next("alphabet")
             alphabet = ws.alphabet(p.next())
-            body = _parse_recognizer_body(p, alphabet, deterministic=(kind == "ldt"))
-            states, initial, transitions, finals = body
-            weights = {
-                x: {a: v for a, v in _split_pairs(toks, "=", "final clause")}
-                for x, toks in finals.items()
-            }
-            if kind == "ldt":
-                dt = {f: {a: tups[0] for a, tups in rows.items()} for f, rows in transitions.items()}
-                algebra = DtAlgebra(alphabet, states, dt)
+            states, initial, transitions, finals = _parse_recognizer_body(p, alphabet, deterministic)
+            if weighted:
+                final = {x: dict(_split_pairs(toks, "=", "final clause")) for x, toks in finals.items()}
+            else:
+                final = {x: set(toks) for x, toks in finals.items()}
+            if deterministic:
+                algebra = DtAlgebra(alphabet, states, transitions)
                 if len(initial) != 1:
-                    raise ValidationError(f"ldt {name!r} needs exactly one initial state")
-                ws.add_recognizer(name, LDtRecognizer(lattice, algebra, initial[0], weights))
+                    raise ValidationError(f"{kind} {name!r} needs exactly one initial state")
+                initial = initial[0]
             else:
                 algebra = NdtAlgebra(alphabet, states, transitions)
-                ws.add_recognizer(name, LNdtRecognizer(lattice, algebra, initial, weights))
-        elif kind in ("dt", "ndt"):
-            name = p.next()
-            p.next("alphabet")
-            alphabet = ws.alphabet(p.next())
-            body = _parse_recognizer_body(p, alphabet, deterministic=(kind == "dt"))
-            states, initial, transitions, finals = body
-            final = {x: set(toks) for x, toks in finals.items()}
-            if kind == "dt":
-                dtt = {f: {a: tups[0] for a, tups in rows.items()} for f, rows in transitions.items()}
-                algebra = DtAlgebra(alphabet, states, dtt)
-                if len(initial) != 1:
-                    raise ValidationError(f"dt {name!r} needs exactly one initial state")
-                ws.add_recognizer(name, DtRecognizer(algebra, initial[0], final))
-            else:
-                algebra = NdtAlgebra(alphabet, states, transitions)
-                ws.add_recognizer(name, NdtRecognizer(algebra, initial, final))
+            ws.add_recognizer(name, cls(*lattice, algebra, initial, final))
         elif kind == "tree":
             name = p.next()
             p.next("alphabet")
@@ -417,14 +363,21 @@ def _parse_recognizer_body(p, alphabet, deterministic):
             for a, tups in rows.items():
                 if len(tups) != 1:
                     raise ValidationError(f"deterministic recognizer has {len(tups)} rules for {f!r}/{a!r}")
+                rows[a] = tups[0]
     return states, initial, transitions, finals
 
 
 def load(paths):
     ws = Workspace()
     for path in paths:
-        with open(path, encoding="utf-8") as handle:
-            load_text(handle.read(), ws)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise FuzzyTreeError(f"cannot read {path!r}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise FuzzyTreeError(f"cannot read {path!r}: not UTF-8 text (byte {exc.start})") from None
+        load_text(text, ws)
     return ws
 
 
@@ -455,57 +408,36 @@ def serialize_alphabet(name, alphabet):
     return f"alphabet {name} {{ {syms} ; leaves {' '.join(alphabet.leaves)} }}"
 
 
-def _serialize_rec_lines(rec, crisp, deterministic):
+def _serialize_rec_lines(rec):
     algebra = rec.algebra
     alphabet = algebra.alphabet
+    deterministic = isinstance(algebra, DtAlgebra)
     names = {a: state_token(a) for a in algebra.states}
     if len(set(names.values())) != len(names):
         raise ValidationError("state names collide after rendering")
-    lines = [f"states {' '.join(names[a] for a in algebra.states)}"]
-    if deterministic:
-        lines.append(f"initial {names[rec.initial]}")
-    else:
-        lines.append("initial " + " ".join(sorted(names[a] for a in rec.initial)))
+    initial = [rec.initial] if deterministic else rec.initial
+    lines = [f"states {' '.join(names.values())}", "initial " + " ".join(sorted(names[a] for a in initial))]
     for f, _ in alphabet.symbols:
         for a in algebra.states:
-            if deterministic:
-                tups = [algebra.step(f, a)]
-            else:
-                tups = list(algebra.choices(f, a))
-            for tup in tups:
+            for tup in [algebra.step(f, a)] if deterministic else algebra.choices(f, a):
                 lines.append(f"trans {f} {names[a]} -> {' '.join(names[b] for b in tup)}")
     for x in alphabet.leaves:
-        if crisp:
+        if isinstance(rec, (DtRecognizer, NdtRecognizer)):
             chosen = sorted(names[a] for a in rec.final[x])
-            lines.append(f"final {x} : {' '.join(chosen)}".rstrip())
         else:
-            bottom = rec.lattice.bottom
-            pairs = [
-                f"{names[a]}={rec.weights[x][a]}"
-                for a in algebra.states
-                if rec.weights[x][a] != bottom
-            ]
-            lines.append(f"final {x} : {' '.join(pairs)}".rstrip())
+            row, bottom = rec.weights[x], rec.lattice.bottom
+            chosen = [f"{names[a]}={row[a]}" for a in algebra.states if row[a] != bottom]
+        lines.append(f"final {x} : {' '.join(chosen)}".rstrip())
     return lines
 
 
 def serialize_recognizer(name, rec, lattice_name=None, alphabet_name=None):
-    if isinstance(rec, LDtRecognizer):
-        head = f"ldt {name} over {lattice_name} alphabet {alphabet_name}"
-        lines = _serialize_rec_lines(rec, crisp=False, deterministic=True)
-    elif isinstance(rec, LNdtRecognizer):
-        head = f"lndt {name} over {lattice_name} alphabet {alphabet_name}"
-        lines = _serialize_rec_lines(rec, crisp=False, deterministic=False)
-    elif isinstance(rec, DtRecognizer):
-        head = f"dt {name} alphabet {alphabet_name}"
-        lines = _serialize_rec_lines(rec, crisp=True, deterministic=True)
-    elif isinstance(rec, NdtRecognizer):
-        head = f"ndt {name} alphabet {alphabet_name}"
-        lines = _serialize_rec_lines(rec, crisp=True, deterministic=False)
-    else:
-        raise ValidationError(f"cannot serialize recognizer of type {type(rec).__name__}")
-    body = " ;\n  ".join(lines)
-    return f"{head} {{\n  {body}\n}}"
+    for kind, (cls, weighted, _) in _RECOGNIZER_KINDS.items():
+        if isinstance(rec, cls):
+            over = f" over {lattice_name}" if weighted else ""
+            body = " ;\n  ".join(_serialize_rec_lines(rec))
+            return f"{kind} {name}{over} alphabet {alphabet_name} {{\n  {body}\n}}"
+    raise ValidationError(f"cannot serialize recognizer of type {type(rec).__name__}")
 
 
 def serialize(ws):
@@ -517,10 +449,12 @@ def serialize(ws):
     for morphism in ws.morphisms.values():
         ws.name_of_lattice(morphism.source)
         ws.name_of_lattice(morphism.target)
-    for rec in ws.recognizers.values():
-        ws.name_of_alphabet(rec.algebra.alphabet)
-        if isinstance(rec, (LDtRecognizer, LNdtRecognizer)):
-            ws.name_of_lattice(rec.lattice)
+    recognizers = []
+    for name, rec in ws.recognizers.items():
+        alphabet_name = ws.name_of_alphabet(rec.algebra.alphabet)
+        lattice = getattr(rec, "lattice", None)
+        lattice_name = None if lattice is None else ws.name_of_lattice(lattice)
+        recognizers.append(serialize_recognizer(name, rec, lattice_name, alphabet_name))
     out = []
     for name, lattice in ws.lattices.items():
         out.append(serialize_lattice(name, lattice))
@@ -537,12 +471,7 @@ def serialize(ws):
         target = ws.name_of_lattice(morphism.target)
         clauses = [f"{e} -> {morphism.mapping[e]}" for e in morphism.source.elements]
         out.append(f"morphism {name} from {source} to {target} {{ {' ; '.join(clauses)} }}")
-    for name, rec in ws.recognizers.items():
-        alphabet_name = ws.name_of_alphabet(rec.algebra.alphabet)
-        lattice_name = None
-        if isinstance(rec, (LDtRecognizer, LNdtRecognizer)):
-            lattice_name = ws.name_of_lattice(rec.lattice)
-        out.append(serialize_recognizer(name, rec, lattice_name, alphabet_name))
+    out += recognizers
     for name, (alphabet_name, t) in ws.trees.items():
         out.append(f"tree {name} alphabet {alphabet_name} {{ {t} }}")
     return "\n".join(out) + "\n"

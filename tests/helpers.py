@@ -3,7 +3,9 @@
 Also the earlier DT deciders, by height layers and by pairs of lattice
 values, kept as verdict references for the cut and cycle-test versions in
 `lfta.decide`, and the evaluation kernel without its absorbing
-short-circuits, kept as the reference for `lfta.recognizers._evaluate`.
+short-circuits, kept as the reference for `lfta.recognizers._evaluate`,
+and the character-at-a-time workspace tokenizer, kept as the reference for
+the regular-expression one in `lfta.workspace`.
 """
 
 import random
@@ -232,3 +234,39 @@ def eager_evaluate(lattice, weights, options, roots, trees):
             got = join[got][meet[c][degree(t, a)]]
         out[t] = got
     return out
+
+
+# -- tokenizer reference ----------------------------------------------------
+
+
+def tokenize_by_characters(text):
+    """`lfta.workspace.tokenize` as it was before it used a regular expression:
+    (token, line, column) triples from one pass over the characters."""
+    specials = "{};:"
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif ch in " \t\r":
+            col += 1
+            i += 1
+        elif ch == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif ch in specials:
+            tokens.append((ch, line, col))
+            col += 1
+            i += 1
+        else:
+            start = i
+            start_col = col
+            while i < len(text) and text[i] not in " \t\r\n#" + specials:
+                i += 1
+                col += 1
+            tokens.append((text[start:i], line, start_col))
+    return tokens

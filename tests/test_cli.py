@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from lfta.cli import main, run
-from lfta.errors import UnknownCommandError
+from lfta.errors import ArityMismatchError, UnknownCommandError, ValidationError
 from lfta.terms import parse_tree
 from lfta.workspace import load, load_text
 
@@ -207,6 +207,38 @@ def test_main_exit_codes(tmp_path):
     bad = tmp_path / "bad.lfta"
     bad.write_text("lattice L { elements 0 1 ; order 1<0 0<1 }")
     assert main(["-f", str(bad), "range", "X"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["eval-path", "MatchedLeaves", "f.0 x"], ValidationError),  # once read the last child
+        (["witness", "UnionPair", "f.0 x"], ValidationError),
+        (["eval-path", "MatchedLeaves", "f.3 x"], ValidationError),  # once an IndexError
+        (["eval-path", "MatchedLeaves", "h.1 x"], ValidationError),  # once a KeyError
+        (["eval-path", "UnionPair", "f.1 z"], ValidationError),
+        (["transform", "quotient", "GradedSquare", "f(@)"], ArityMismatchError),  # as for trees
+        (["transform", "embed", "GradedSquare", "f(@,z)"], ValidationError),
+    ],
+)
+def test_ill_formed_paths_and_contexts_exit_2(capsys, argv, error):
+    with pytest.raises(error):
+        run(argv[0], argv[1:], ws())
+    assert main(["-f", GOLDENS, *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("make", ["missing", "directory", "not_utf8"])
+def test_unreadable_files_exit_2(tmp_path, capsys, make):
+    path = tmp_path / "ws.lfta"
+    if make == "directory":
+        path.mkdir()
+    elif make == "not_utf8":
+        path.write_bytes(b"chain C { 0 < \xff }")
+    assert main(["-f", str(path), "eval", "X", "x"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read ") and str(path) in err and err.count("\n") == 1
 
 
 def test_console_entry_point():

@@ -135,6 +135,21 @@ def test_sublattice_closure():
     assert fixtures.b2().sublattice_closure({"0"}) == {"0"}
 
 
+def test_closures_match_their_definition_on_every_subset():
+    for lat in (fixtures.diamond(), fixtures.chain4(), m3(), n5()):
+        for bits in range(2 ** len(lat.elements)):
+            subset = {e for i, e in enumerate(lat.elements) if bits >> i & 1}
+            for closure, ops in ((lat.meet_closure, (lat.meet,)), (lat.sublattice_closure, (lat.meet, lat.join))):
+                expected = set(subset)
+                while True:  # the definition: add every missing result until none is missing
+                    new = {op(a, b) for a in expected for b in expected for op in ops} - expected
+                    if not new:
+                        break
+                    expected |= new
+                assert closure(subset) == expected
+                assert closure(iter(subset)) == expected
+
+
 def test_classify():
     b2 = fixtures.b2().classify()
     assert b2.is_chain and b2.is_distributive and b2.zero_meet_irreducible

@@ -13,7 +13,7 @@ from lfta.recognizers import (
     general_to_simple,
 )
 from lfta.automata import DtAlgebra, NdtAlgebra
-from lfta.terms import RankedAlphabet, parse_context, parse_tree
+from lfta.terms import HOLE, Context, RankedAlphabet, Tree, parse_context, parse_tree
 
 from helpers import (
     CountingTree,
@@ -343,6 +343,17 @@ def test_degree_by_paths_on_deep_spine():
     rec = LDtRecognizer(fixtures.chain3(), algebra, "a", {"x": {"a": "1", "b": "d"}})
     assert rec.degree_by_paths(spine_tree(alph, 10**4)) == "1"
     assert rec.degree_by_paths(spine_tree(alph, 10**4 + 1)) == "d"
+
+
+def test_context_degree_on_deep_spine():
+    alph = RankedAlphabet({"f": 2}, ["x", "y"])
+    algebra = DtAlgebra(alph, ["a", "b"], {"f": {"a": ("b", "a"), "b": ("a", "b")}})
+    rec = LDtRecognizer(fixtures.chain3(), algebra, "a", {"x": {"a": "1", "b": "1"}, "y": {"a": "d", "b": "1"}})
+    for height, end in ((10**4, "a"), (10**4 + 1, "b")):
+        spine = Tree(HOLE)  # the hole at the bottom of the left spine, y beside every step
+        for _ in range(height):
+            spine = Tree("f", [spine, Tree("y")])
+        assert rec.context_degree("a", Context(spine)) == ("d", end)
 
 
 def test_ndt_state_degrees_match_oracle_from_each_state():

@@ -1,11 +1,16 @@
+import glob
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lfta import fixtures
 from lfta.errors import ParseError, ValidationError
 from lfta.oracle import enum_trees
 from lfta.recognizers import LNdtRecognizer
 from lfta.terms import parse_tree
-from lfta.workspace import Workspace, load, load_text, serialize, state_token
+from lfta.workspace import Workspace, load, load_text, serialize, state_token, tokenize
+
+from helpers import tokenize_by_characters
 
 GOLDENS = "goldens/fixtures.lfta"
 
@@ -175,3 +180,76 @@ def test_crisp_blocks():
     assert ws.recognizer("D").accepts(parse_tree("f(x,x)"))
     assert not ws.recognizer("D").accepts(parse_tree("f(x,y)"))
     assert ws.recognizer("N").accepts(parse_tree("f(y,x)"))
+
+
+# separators, specials, the comment sign, whitespace that is not a separator, and word characters
+_TOKEN_TEXTS = st.text(alphabet=st.sampled_from(list("{};:#\t \r\n\f\vab0_<=/.()")), max_size=80)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_TOKEN_TEXTS)
+def test_tokenize_matches_the_character_reference(text):
+    assert tokenize(text) == tokenize_by_characters(text)
+
+
+def test_tokenize_matches_the_character_reference_on_the_goldens():
+    for path in glob.glob("goldens/*.lfta"):
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        assert tokenize(text) == tokenize_by_characters(text)
+
+
+def test_tokenize_lexical_rules():
+    # '#' ends a word it touches; form feed is not a separator; each of {};: stands alone
+    assert tokenize("a#b c\nd;e\f:f") == [("a", 1, 1), ("d", 2, 1), (";", 2, 2), ("e\f", 2, 3), (":", 2, 5), ("f", 2, 6)]
+
+
+def test_parse_error_carries_line_and_column_of_the_found_token():
+    with pytest.raises(ParseError) as info:
+        load_text("# header\nchain C { 0 < 1 }\n\thom h to A")
+    assert (info.value.line, info.value.column) == (3, 8)
+    assert str(info.value) == "expected 'from', found 'to' (line 3, column 8)"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("chain C { 0 < 1", "missing '}'"), ("chain C { 0 < 1 }\nchain D", "unexpected end of input")],
+)
+def test_parse_errors_at_the_end_carry_no_position(text, message):
+    with pytest.raises(ParseError) as info:
+        load_text(text)
+    assert (info.value.line, info.value.column) == (None, None)
+    assert str(info.value) == message
+
+
+_EQ_BASE = """
+chain C { 0 < d < 1 }
+chain D { 0 < 1 < d }
+alphabet A { f/2 ; leaves x y }
+ldt R over C alphabet A { states q p ; initial q ; trans f q -> p p ; trans f p -> p p ; final x : p=d ; final y : p=1 }
+hom h from A to A { leaf x -> x ; leaf y -> y ; sym f -> f($2,$1) }
+morphism m from C to C { 0 -> 0 ; d -> 0 ; 1 -> 1 }
+"""
+# one more recognizer S, fuzzy or crisp, with the same states, moves and support
+_S_BODY = "{ states q ; initial q ; trans f q -> q q ; final x : q%s ; final y : }"
+_FUZZY_DT = "ldt S over C alphabet A " + _S_BODY % "=1"
+_CRISP_DT = "dt S alphabet A " + _S_BODY % ""
+_FUZZY_NDT = "lndt S over C alphabet A " + _S_BODY % "=1"
+_CRISP_NDT = "ndt S alphabet A " + _S_BODY % ""
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (_EQ_BASE, _EQ_BASE.replace("final x : p=d", "final x : p=1")),  # a weight
+        (_EQ_BASE, _EQ_BASE.replace("ldt R over C", "ldt R over D")),  # the lattice a recognizer is over
+        (_EQ_BASE + _FUZZY_DT, _EQ_BASE + _CRISP_DT),  # crisp vs fuzzy kind
+        (_EQ_BASE + _FUZZY_NDT, _EQ_BASE + _CRISP_NDT),
+        (_EQ_BASE, _EQ_BASE.replace("leaf y -> y", "leaf y -> x")),  # a hom image
+        (_EQ_BASE, _EQ_BASE.replace("d -> 0", "d -> d")),  # a morphism entry
+    ],
+)
+def test_workspaces_differing_in_one_thing_are_unequal(left, right):
+    assert load_text(left) == load_text(left)
+    assert load_text(left) != load_text(right)
+    assert load_text(right) != load_text(left)
