@@ -194,18 +194,21 @@ def saturate(seeds, rules, budget=None):
 
     A fact is a (slot, value) pair; `seeds` lists (slot, value, tree) triples.
     A rule (head, symbol, body, combine) derives (head, combine(values)) from
-    one known value per body slot, witnessed by `symbol` over the body
-    witnesses.  Rounds are semi-naive: body position j takes the last round's
-    new facts, earlier positions the facts known before that round and later
-    positions every fact known at the start of this one, so each combination
-    is tried once.  Facts live in insertion-ordered dicts, never sets, so the
-    discovery order does not depend on string hashing.  Yields each new fact
-    as (slot, value, witness) when it is found, so a caller that has seen
-    enough stops the fixpoint by not asking for more.  Each batch of rule
-    combinations is charged to `budget` (a `Budget`, which several fixpoints
-    of one decision may draw on in turn, or None for no limit) before it is
-    tried, so BudgetExceededError bounds the facts and the number of
-    `combine` calls, not the cost of one call.
+    a tuple of one known value per body slot, witnessed by `symbol` over the
+    body values' witnesses.  Rounds are semi-naive: body position j takes the
+    last round's new values, earlier positions the values known before that
+    round and later positions every value known at the start of this one, so
+    each combination is tried once.  The rounds loop over values only: a
+    fact's witness never changes once stored, so it is looked up, and the
+    new tree built, only when a combination gives a new fact.  Facts live in
+    insertion-ordered dicts, never sets, so the discovery order does not
+    depend on string hashing.  Yields each new fact as (slot, value,
+    witness) when it is found, so a caller that has seen enough stops the
+    fixpoint by not asking for more.  Each batch of rule combinations is
+    charged to `budget` (a `Budget`, which several fixpoints of one decision
+    may draw on in turn, or None for no limit) before it is tried, so
+    BudgetExceededError bounds the facts and the number of `combine` calls,
+    not the cost of one call.
     """
     known = {}
     for slot, value, tree in seeds:
@@ -222,8 +225,8 @@ def saturate(seeds, rules, budget=None):
     while True:
         old, new, cur = {}, {}, {}
         for slot, row in known.items():
-            cur[slot] = items = list(row.items())
-            old[slot], new[slot] = items[: before[slot]], items[before[slot] :]
+            cur[slot] = values = list(row)
+            old[slot], new[slot] = values[: before[slot]], values[before[slot] :]
         if not any(new.values()):
             return
         for head, symbol, body, combine in rules:
@@ -233,12 +236,12 @@ def saturate(seeds, rules, budget=None):
                     continue
                 pools = [old[b] for b in body[:j]] + [new[slot]] + [cur[b] for b in body[j + 1 :]]
                 budget.spend(prod(map(len, pools)))
-                for combo in iproduct(*pools):
-                    value = combine([v for v, _ in combo])
+                for values in iproduct(*pools):
+                    value = combine(values)
                     if value not in row:
-                        row[value] = witness = Tree(symbol, [w for _, w in combo])
+                        row[value] = witness = Tree(symbol, [known[b][v] for b, v in zip(body, values)])
                         yield head, value, witness
-        before = {slot: len(items) for slot, items in cur.items()}
+        before = {slot: len(values) for slot, values in cur.items()}
 
 
 class DtRecognizer:

@@ -21,9 +21,7 @@ from a non-bottom degree of the initial state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import product as iproduct
-from operator import and_
+from itertools import islice, product as iproduct
 
 from .automata import Budget, NdtAlgebra, NdtRecognizer, saturate
 from .errors import (
@@ -36,6 +34,8 @@ from .terms import Context, Tree, context_at
 from .transforms import _dt_product_algebra
 
 DEFAULT_BUDGET = 10**6
+# the meet table of compare's cut values, bit pairs met bit by bit: u & v
+_BIT_AND = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 2, 2), (0, 1, 2, 3))
 
 
 def height_bound(rec):
@@ -108,10 +108,12 @@ def pump_decompose(rec, t):
     loop, suffix = context_at(below, path[lo:hi])
     decomposition = PumpDecomposition(prefix, loop, suffix)
 
+    # the checks walk the run frontier: on a spine no (subtree, state) pair
+    # repeats, so the memo of the recursive kernel would not pay for itself
     assert decomposition.pumped(1) == t, "decomposition does not rebuild the tree"
-    base = rec.degree(t)
+    base = rec.degree_by_paths(t)
     for k in range(4):
-        assert rec.degree(decomposition.pumped(k)) == base, "pump changed the degree"
+        assert rec.degree_by_paths(decomposition.pumped(k)) == base, "pump changed the degree"
     return decomposition
 
 
@@ -119,18 +121,24 @@ def _attainable(algebra, leaf_value, meet, budget=None):
     """Per-state attainable degrees with witness trees, by saturation.
 
     `leaf_value(x, a)` is the degree of leaf `x` read in state `a`; an inner
-    node meets its children's degrees.  `budget`, a `Budget` or None, is
-    passed to `saturate`.
+    node meets its children's degrees by the table `meet`, read unchecked.
+    Returns the saturation's facts (state, degree, witness) as it finds
+    them, so a caller stops it by not asking for more.  `budget`, a `Budget`
+    or None, is passed to `saturate`.
     """
     seeds = [(a, leaf_value(x, a), Tree(x)) for x in algebra.alphabet.leaves for a in algebra.states]
-    combine = lambda values: reduce(meet, values)
+
+    def combine(values):
+        values = iter(values)
+        acc = next(values)
+        for v in values:
+            acc = meet[acc][v]
+        return acc
+
     rules = [
         (a, f, algebra.step(f, a), combine) for f, _ in algebra.alphabet.symbols for a in algebra.states
     ]
-    rows = {a: {} for a in algebra.states}
-    for a, value, witness in saturate(seeds, rules, budget):
-        rows[a][value] = witness
-    return rows
+    return saturate(seeds, rules, budget)
 
 
 def value_range(rec, budget=DEFAULT_BUDGET):
@@ -140,26 +148,35 @@ def value_range(rec, budget=DEFAULT_BUDGET):
 
 def range_witnesses(rec, budget=DEFAULT_BUDGET):
     """One tree per attainable degree."""
-    return dict(_state_ranges(rec, Budget(budget))[rec.initial])
+    return dict(_attained(rec, budget))
 
 
-def _state_ranges(rec, budget):
-    """Per-state attainable degrees; the meet table is read unchecked, as the weights were validated."""
-    table = rec.lattice._meet
-    leaf_value = lambda x, a: rec.weights[x][a]
-    return _attainable(rec.algebra, leaf_value, lambda u, v: table[u][v], budget)
+def _range_facts(rec, budget):
+    """Per-state attainable degrees as saturation facts; the weights were validated, so the meet table is too."""
+    weights = rec.weights
+    return _attainable(rec.algebra, lambda x, a: weights[x][a], rec.lattice._meet, budget)
+
+
+def _attained(rec, budget):
+    """(degree, witness) for each degree the recognizer attains, once each, as saturation finds them."""
+    return ((value, witness) for a, value, witness in _range_facts(rec, Budget(budget)) if a == rec.initial)
 
 
 def is_empty_support(rec, budget=DEFAULT_BUDGET):
-    return value_range(rec, budget) == {rec.lattice.bottom}
+    """Whether every tree scores bottom; stops at the first degree that is not."""
+    bottom = rec.lattice.bottom
+    return all(value == bottom for value, _ in _attained(rec, budget))
 
 
 def is_constant(rec, budget=DEFAULT_BUDGET):
-    return len(value_range(rec, budget)) == 1
+    """Whether every tree scores alike; stops at the second degree."""
+    return len(list(islice(_attained(rec, budget), 2))) == 1
 
 
 def is_crisp(rec, budget=DEFAULT_BUDGET):
-    return value_range(rec, budget) <= {rec.lattice.bottom, rec.lattice.top}
+    """Whether every tree scores bottom or top; stops at the first degree that does neither."""
+    crisp = {rec.lattice.bottom, rec.lattice.top}
+    return all(value in crisp for value, _ in _attained(rec, budget))
 
 
 def is_finite_support(rec, budget=DEFAULT_BUDGET):
@@ -181,7 +198,10 @@ def is_finite_support(rec, budget=DEFAULT_BUDGET):
     lat = rec.lattice
     meet, bottom = lat._meet, lat.bottom
     budget = Budget(budget)
-    live = {a: [v for v in row if v != bottom] for a, row in _state_ranges(rec, budget).items()}
+    live = {a: [] for a in rec.algebra.states}
+    for a, value, _ in _range_facts(rec, budget):
+        if value != bottom:
+            live[a].append(value)
     edges = {}
     for f, _ in rec.alphabet.symbols:
         for a in rec.algebra.states:
@@ -264,8 +284,9 @@ def compare(f_rec, g_rec, budget=DEFAULT_BUDGET):
     for j in lat.join_irreducibles():
         up = {e for e in lat.elements if lat.leq(j, e)}
         leaf_value = lambda x, ab: (f_rec.weights[x][ab[0]] in up) | (g_rec.weights[x][ab[1]] in up) << 1
-        for value, witness in _attainable(algebra, leaf_value, and_, budget)[start].items():
-            witnesses.setdefault(value, witness)
+        for ab, value, witness in _attainable(algebra, leaf_value, _BIT_AND, budget):
+            if ab == start:
+                witnesses.setdefault(value, witness)
         if 1 in witnesses and 3 in witnesses:
             break
     inc_w, dis_w = witnesses.get(1), witnesses.get(3)
@@ -384,8 +405,8 @@ def level_in_domain(rec, d):
 
 
 def level_preimage_nonempty(rec, values):
-    """Whether some value in `values` is attained by some tree."""
+    """Whether some value in `values` is attained by some tree; stops at the first one found."""
     for d in values:
         if d not in rec.lattice:
             raise ForeignElementError(f"{d!r} not in the recognizer's lattice")
-    return not value_range(rec).isdisjoint(values)
+    return any(value in values for value, _ in _attained(rec, DEFAULT_BUDGET))

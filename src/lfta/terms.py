@@ -30,10 +30,10 @@ class Tree:
     __slots__ = ("symbol", "children", "_hash", "_height")
 
     def __init__(self, symbol, children=()):
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "children", tuple(children))
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_height", None)
+        _set_symbol(self, symbol)
+        _set_children(self, tuple(children))
+        _set_hash(self, None)
+        _set_height(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("trees are immutable")
@@ -51,7 +51,7 @@ class Tree:
         h = self._height
         if h is None:
             h = 0 if self.is_leaf else 1 + max(c.height for c in self.children)
-            object.__setattr__(self, "_height", h)
+            _set_height(self, h)
         return h
 
     def _preorder(self):
@@ -92,7 +92,7 @@ class Tree:
         h = self._hash
         if h is None:
             h = hash((self.symbol, self.children))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __str__(self):
@@ -105,6 +105,15 @@ class Tree:
 
     def __lt__(self, other):
         return str(self) < str(other)
+
+
+# the slot setters, bound once: `Tree.__setattr__` refuses every assignment
+_set_symbol, _set_children, _set_hash, _set_height = (
+    Tree.symbol.__set__,
+    Tree.children.__set__,
+    Tree._hash.__set__,
+    Tree._height.__set__,
+)
 
 
 def metrics(t):

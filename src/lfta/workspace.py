@@ -182,10 +182,9 @@ class _Parser:
         return tok
 
     def error(self, message):
-        if self.pos < len(self.tokens):
-            _, line, col = self.tokens[self.pos]
-            raise ParseError(message, line, col)
-        raise ParseError(message)
+        """Raise `message` at the position of the token just read."""
+        _, line, col = self.tokens[self.pos - 1]
+        raise ParseError(message, line, col)
 
     def clauses(self):
         """Split a { ... } body into ;-separated token lists."""
@@ -377,7 +376,11 @@ def load(paths):
             raise FuzzyTreeError(f"cannot read {path!r}: {exc.strerror}") from None
         except UnicodeDecodeError as exc:
             raise FuzzyTreeError(f"cannot read {path!r}: not UTF-8 text (byte {exc.start})") from None
-        load_text(text, ws)
+        try:
+            load_text(text, ws)
+        except FuzzyTreeError as exc:
+            exc.args = (f"{path}: {exc}",)  # line and column count from the start of this file
+            raise
     return ws
 
 

@@ -4,15 +4,18 @@ Also the earlier DT deciders, by height layers and by pairs of lattice
 values, kept as verdict references for the cut and cycle-test versions in
 `lfta.decide`, and the evaluation kernel without its absorbing
 short-circuits, kept as the reference for `lfta.recognizers._evaluate`,
-and the character-at-a-time workspace tokenizer, kept as the reference for
-the regular-expression one in `lfta.workspace`.
+the saturation loop over (value, witness) items, kept as the reference for
+the values-only one in `lfta.automata.saturate`, and the
+character-at-a-time workspace tokenizer, kept as the reference for the
+regular-expression one in `lfta.workspace`.
 """
 
 import random
 from itertools import product as iproduct
+from math import prod
 
 from lfta import decide, fixtures
-from lfta.automata import DtAlgebra, NdtAlgebra
+from lfta.automata import Budget, DtAlgebra, NdtAlgebra
 from lfta.lattice import validate
 from lfta.recognizers import (
     GeneralLNdtRecognizer,
@@ -186,11 +189,14 @@ def compare_by_value_pairs(f_rec, g_rec):
     lat = f_rec.lattice
     algebra = _dt_product_algebra(f_rec, g_rec)
     leaf_value = lambda x, ab: (f_rec.weights[x][ab[0]], g_rec.weights[x][ab[1]])
-    meet = lambda p, q: (lat.meet(p[0], q[0]), lat.meet(p[1], q[1]))
-    pairs = decide._attainable(algebra, leaf_value, meet)[(f_rec.initial, g_rec.initial)]
+    pairs = list(iproduct(lat.elements, repeat=2))
+    meet = {p: {q: (lat.meet(p[0], q[0]), lat.meet(p[1], q[1])) for q in pairs} for p in pairs}
+    start = (f_rec.initial, g_rec.initial)
     included, equivalent, disjoint = True, True, True
     inc_w = eq_w = dis_w = None
-    for (u, v), witness in pairs.items():
+    for ab, (u, v), witness in decide._attainable(algebra, leaf_value, meet):
+        if ab != start:
+            continue
         if included and not lat.leq(u, v):
             included, inc_w = False, witness
         if equivalent and u != v:
@@ -234,6 +240,47 @@ def eager_evaluate(lattice, weights, options, roots, trees):
             got = join[got][meet[c][degree(t, a)]]
         out[t] = got
     return out
+
+
+# -- saturation reference ---------------------------------------------------
+
+
+def saturate_by_items(seeds, rules, budget=None):
+    """`lfta.automata.saturate` as it was before its rounds looped over values
+    only: the pools hold (value, witness) items, `combine` gets a list of
+    values, and every combination unpacks its items."""
+    known = {}
+    for slot, value, tree in seeds:
+        row = known.setdefault(slot, {})
+        if value not in row:
+            row[value] = tree
+            yield slot, value, tree
+    for head, _, body, _ in rules:
+        for slot in (head, *body):
+            known.setdefault(slot, {})
+    if budget is None:
+        budget = Budget()
+    before = {slot: 0 for slot in known}
+    while True:
+        old, new, cur = {}, {}, {}
+        for slot, row in known.items():
+            cur[slot] = items = list(row.items())
+            old[slot], new[slot] = items[: before[slot]], items[before[slot] :]
+        if not any(new.values()):
+            return
+        for head, symbol, body, combine in rules:
+            row = known[head]
+            for j, slot in enumerate(body):
+                if not new[slot]:
+                    continue
+                pools = [old[b] for b in body[:j]] + [new[slot]] + [cur[b] for b in body[j + 1 :]]
+                budget.spend(prod(map(len, pools)))
+                for combo in iproduct(*pools):
+                    value = combine([v for v, _ in combo])
+                    if value not in row:
+                        row[value] = witness = Tree(symbol, [w for _, w in combo])
+                        yield head, value, witness
+        before = {slot: len(items) for slot, items in cur.items()}
 
 
 # -- tokenizer reference ----------------------------------------------------

@@ -229,6 +229,13 @@ def test_ill_formed_paths_and_contexts_exit_2(capsys, argv, error):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_load_errors_name_their_file(capsys):
+    assert main(["-f", HOMS, "range", "MatchedLeaves"]) == 2
+    assert capsys.readouterr().err == f"error: {HOMS}: unknown alphabet 'Pair'\n"
+    assert main(["-f", GOLDENS, "-f", HOMS, "-f", GOLDENS, "range", "MatchedLeaves"]) == 2
+    assert capsys.readouterr().err == f"error: {GOLDENS}: duplicate lattice name 'B2'\n"
+
+
 @pytest.mark.parametrize("make", ["missing", "directory", "not_utf8"])
 def test_unreadable_files_exit_2(tmp_path, capsys, make):
     path = tmp_path / "ws.lfta"

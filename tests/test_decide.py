@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lfta import chain as chain_ops, decide, fixtures, transforms
-from lfta.automata import DtAlgebra, NdtAlgebra, saturate
+from lfta import automata, chain as chain_ops, decide, fixtures, transforms
+from lfta.automata import Budget, DtAlgebra, NdtAlgebra, NdtRecognizer, saturate
 from lfta.errors import (
     BudgetExceededError,
     ForeignElementError,
@@ -27,6 +27,7 @@ from helpers import (
     n5,
     random_dt,
     random_ndt,
+    saturate_by_items,
     seeded,
     spine_tree,
 )
@@ -86,6 +87,23 @@ def test_pump_loop_keeps_the_context_degree():
         assert above_loop == below_loop
 
 
+def test_pump_checks_score_the_tree_and_four_pumps_from_the_initial_state(monkeypatch):
+    scored = []
+    by_paths = LDtRecognizer.degree_by_paths
+
+    def recording(rec, t, start=None):
+        scored.append((t, rec.initial if start is None else start))
+        return by_paths(rec, t, start)
+
+    monkeypatch.setattr(LDtRecognizer, "degree_by_paths", recording)
+    rng = seeded(73)
+    for _ in range(10):
+        rec = random_dt(rng, rng.choice(lattice_menu()), fixtures.alphabet_pair())
+        t = spine_tree(rec.alphabet, decide.height_bound(rec) + 1)
+        d = decide.pump_decompose(rec, t)
+        assert scored[-5:] == [(tree, rec.initial) for tree in (t, *map(d.pumped, range(4)))]
+
+
 def test_pump_too_short():
     rec = fixtures.dead_branch()
     with pytest.raises(TreeTooShortError):
@@ -132,6 +150,19 @@ def test_emptiness_and_friends():
     assert not decide.is_constant(fixtures.matched_leaves())
     assert not decide.is_crisp(fixtures.graded_square())
     assert decide.is_crisp(fixtures.dead_branch())
+
+
+def test_early_exits_answer_within_a_budget_the_range_exceeds():
+    # from q every tree scores 1, c, d or 0; f(x,x) scores c, found in the first round
+    algebra = DtAlgebra(fixtures.alphabet_pair(), ["q", "p"], {"f": {"q": ("p", "p"), "p": ("p", "p")}})
+    rec = LDtRecognizer(fixtures.diamond(), algebra, "q", {"x": {"q": "1", "p": "c"}, "y": {"q": "1", "p": "d"}})
+    budget = _least_budget(lambda budget: decide.is_crisp(rec, budget))
+    with pytest.raises(BudgetExceededError):
+        decide.value_range(rec, budget)
+    assert not decide.is_crisp(rec, budget)
+    assert not decide.is_empty_support(rec, budget)
+    assert not decide.is_constant(rec, budget)
+    assert decide.value_range(rec) == {"0", "c", "d", "1"}
 
 
 def test_infinite_but_not_constant_support():
@@ -264,6 +295,93 @@ def test_dt_deciders_match_the_references(pair):
         reference.disjoint,
     )
     _assert_witnesses_refute(cmp, f_rec, g_rec)
+
+
+@st.composite
+def _dt_and_values(draw):
+    lattice, alphabet = draw(st.sampled_from(PROPERTY_LATTICES)), draw(st.sampled_from(PROPERTY_ALPHABETS))
+    return draw(_dts(lattice, alphabet)), draw(st.lists(st.sampled_from(lattice.elements), max_size=3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_dt_and_values())
+def test_early_exit_deciders_match_their_range_definitions(case):
+    rec, values = case
+    lat, attained = rec.lattice, decide.value_range(rec)
+    assert decide.is_empty_support(rec) == (attained == {lat.bottom})
+    assert decide.is_constant(rec) == (len(attained) == 1)
+    assert decide.is_crisp(rec) == (attained <= {lat.bottom, lat.top})
+    assert decide.level_preimage_nonempty(rec, values) == (not attained.isdisjoint(values))
+
+
+SATURATION_LATTICES = (fixtures.b2(), fixtures.chain4(), fixtures.diamond(), n5())
+SATURATION_BUDGET = 2 * 10**4  # equal NDT pairs can saturate far more vectors
+
+
+@st.composite
+def _ndts(draw, lattice, alphabet):
+    """An NDT recognizer with 1-3 states, 0-2 choices per symbol and state, and any leaf weights."""
+    states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    state, value = st.sampled_from(states), st.sampled_from(lattice.elements)
+    transitions = {
+        f: {a: [tuple(draw(state) for _ in range(m)) for _ in range(draw(st.integers(0, 2)))] for a in states}
+        for f, m in alphabet.symbols
+    }
+    weights = {x: {a: draw(value) for a in states} for x in alphabet.leaves}
+    initial = draw(st.sets(state, min_size=1))
+    return LNdtRecognizer(lattice, NdtAlgebra(alphabet, states, transitions), initial, weights)
+
+
+@st.composite
+def _saturation_inputs(draw):
+    lattice, alphabet = draw(st.sampled_from(SATURATION_LATTICES)), draw(st.sampled_from(PROPERTY_ALPHABETS))
+    return draw(_dts(lattice, alphabet)), draw(_dts(lattice, alphabet)), draw(_ndts(lattice, alphabet))
+
+
+def _recorded_saturations(call):
+    """The (seeds, rules) of every saturation that `call()` starts."""
+    recorded = []
+
+    def recording(seeds, rules, budget=None):
+        recorded.append((list(seeds), list(rules)))
+        return saturate(*recorded[-1], budget)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decide, "saturate", recording)
+        patch.setattr(automata, "saturate", recording)
+        call()
+    return recorded
+
+
+def _replay(loop, seeds, rules):
+    """The facts `loop` finds, witnesses as text, then "budget" if it ran out; and the budget it spent."""
+    budget, facts = Budget(SATURATION_BUDGET), []
+    try:
+        for slot, value, witness in loop(seeds, rules, budget):
+            facts.append((slot, value, str(witness)))
+    except BudgetExceededError:
+        facts.append("budget")
+    return facts, budget.spent
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_saturation_inputs())
+def test_saturation_matches_the_items_reference_on_every_rule_kind(inputs):
+    dt, other, nd = inputs
+    bottom = dt.lattice.bottom
+    support = {x: {a for a, v in row.items() if v != bottom} for x, row in nd.weights.items()}
+    crisp = NdtRecognizer(nd.algebra, nd.initial, support)
+    kinds = {
+        "range": lambda: decide.value_range(dt),
+        "cuts": lambda: decide.compare(dt, other),
+        "vectors": lambda: decide._joint_vectors(nd, dt_to_ndt(other), None),
+        "nonempty": crisp.nonempty,
+    }
+    for kind, call in kinds.items():
+        recorded = _recorded_saturations(call)
+        assert recorded, kind
+        for seeds, rules in recorded:
+            assert _replay(saturate, seeds, rules) == _replay(saturate_by_items, seeds, rules), kind
 
 
 def _perfbench_gen():

@@ -211,6 +211,27 @@ def test_parse_error_carries_line_and_column_of_the_found_token():
     assert str(info.value) == "expected 'from', found 'to' (line 3, column 8)"
 
 
+@pytest.mark.parametrize("text, line, column", [("widget W { }", 1, 1), ("chain C { 0 < 1 }\n  widget", 2, 3)])
+def test_unknown_block_kind_carries_the_position_of_its_keyword(text, line, column):
+    with pytest.raises(ParseError) as info:
+        load_text(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value) == f"unknown block kind 'widget' (line {line}, column {column})"
+
+
+def test_load_errors_name_their_file(tmp_path):
+    # homs.lfta refers to the alphabets of fixtures.lfta
+    with pytest.raises(ValidationError) as info:
+        load(["goldens/homs.lfta"])
+    assert str(info.value) == "goldens/homs.lfta: unknown alphabet 'Pair'"
+    bad = tmp_path / "bad.lfta"
+    bad.write_text("chain C { 0 < 1 }\n\thom h to A")
+    with pytest.raises(ParseError) as info:
+        load([GOLDENS, str(bad)])
+    assert (info.value.line, info.value.column) == (2, 8)
+    assert str(info.value) == f"{bad}: expected 'from', found 'to' (line 2, column 8)"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [("chain C { 0 < 1", "missing '}'"), ("chain C { 0 < 1 }\nchain D", "unexpected end of input")],
