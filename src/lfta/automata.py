@@ -13,7 +13,8 @@ from itertools import product as iproduct
 from math import prod
 
 from .errors import BudgetExceededError, ValidationError
-from .terms import Tree
+from .lattice import chain
+from .terms import Tree, _fold
 
 
 def _is_single_state(start, states):
@@ -58,10 +59,13 @@ class DtAlgebra:
 
     def run(self, t, state):
         """The run tree: `t` with every node annotated by the state held there."""
-        if t.is_leaf:
-            return Tree((t.symbol, state))
-        targets = self.step(t.symbol, state)
-        return Tree((t.symbol, state), [self.run(c, b) for c, b in zip(t.children, targets)])
+        transitions = self.transitions
+
+        def children(item):
+            node, a = item
+            return tuple(zip(node.children, transitions[node.symbol][a])) if node.children else ()
+
+        return _fold((t, state), children, lambda item, kids: Tree((item[0].symbol, item[1]), kids))
 
     def leaf_run(self, t, state):
         """The set of (leaf symbol, state) pairs at the frontier of the run.
@@ -133,6 +137,57 @@ class NdtAlgebra:
                     nxt.add(tup[i - 1])
             current = nxt
         return frozenset(current)
+
+
+def _evaluate(lattice, weights, options, roots, trees):
+    """Each tree's degree: the join, over the (state, weight) pairs in `roots`,
+    of the weight met with the tree's degree from that state.
+
+    A leaf's degree from a state is its final weight there.  An inner node's
+    is the join, over the (child tuple, weight) pairs `options(symbol,
+    state)` lists, of the weight met with the children's degrees from the
+    tuple's states.  Top-down and memoized on (subtree, state) for this call
+    only, so only the pairs reachable from the roots are evaluated and each
+    option list is built once.  Bottom absorbs meets and top absorbs joins,
+    so a choice stops at its first child once its meet is bottom, and a join
+    stops at the first choice (or root) that brings it to top: the skipped
+    children and choices cannot change the value.  The lattice tables are
+    read unchecked: the weights were validated at construction.
+    """
+    meet, join, bottom, top = lattice._meet, lattice._join, lattice.bottom, lattice.top
+    memo, built = {}, {}
+
+    def degree(node, state):
+        if node.is_leaf:
+            return weights[node.symbol][state]
+        key = (node, state)
+        got = memo.get(key)
+        if got is None:
+            got = bottom
+            pair = (node.symbol, state)
+            listed = built.get(pair)
+            if listed is None:
+                listed = built[pair] = options(*pair)
+            for tup, c in listed:
+                for child, b in zip(node.children, tup):
+                    if c == bottom:
+                        break
+                    c = meet[c][degree(child, b)]
+                got = join[got][c]
+                if got == top:
+                    break
+            memo[key] = got
+        return got
+
+    out = {}
+    for t in trees:
+        got = bottom
+        for a, c in roots:
+            got = join[got][meet[c][degree(t, a)]]
+            if got == top:
+                break
+        out[t] = got
+    return out
 
 
 def explore(alphabet, initial, expand):
@@ -244,6 +299,21 @@ def saturate(seeds, rules, budget=None):
         before = {slot: len(values) for slot, values in cur.items()}
 
 
+_B2 = chain(["0", "1"])  # crisp acceptance is a degree over the two-element chain
+
+
+def _check_finals(algebra, final):
+    """The final state set of each leaf, checked against the algebra's states."""
+    table = {}
+    state_set = set(algebra.states)
+    for x in algebra.alphabet.leaves:
+        chosen = frozenset(final.get(x, ()))
+        if not chosen <= state_set:
+            raise ValidationError(f"final set for {x!r} mentions unknown states")
+        table[x] = chosen
+    return table
+
+
 class DtRecognizer:
     """Crisp deterministic recognizer: accepted iff every frontier pair is final."""
 
@@ -252,16 +322,9 @@ class DtRecognizer:
     def __init__(self, algebra, initial, final):
         if initial not in set(algebra.states):
             raise ValidationError(f"unknown initial state {initial!r}")
-        table = {}
-        state_set = set(algebra.states)
-        for x in algebra.alphabet.leaves:
-            chosen = frozenset(final.get(x, ()))
-            if not chosen <= state_set:
-                raise ValidationError(f"final set for {x!r} mentions unknown states")
-            table[x] = chosen
         self.algebra = algebra
         self.initial = initial
-        self.final = table
+        self.final = _check_finals(algebra, final)
 
     def accepts(self, t, start=None):
         start = self.initial if start is None else start
@@ -275,46 +338,19 @@ class NdtRecognizer:
 
     def __init__(self, algebra, initial, final):
         initial = frozenset(initial)
-        state_set = set(algebra.states)
-        if not initial <= state_set:
+        if not initial <= set(algebra.states):
             raise ValidationError("unknown initial state")
-        table = {}
-        for x in algebra.alphabet.leaves:
-            chosen = frozenset(final.get(x, ()))
-            if not chosen <= state_set:
-                raise ValidationError(f"final set for {x!r} mentions unknown states")
-            table[x] = chosen
         self.algebra = algebra
         self.initial = initial
-        self.final = table
-
-    def accepting_states(self, t):
-        """All states from which `t` is accepted; memoized bottom-up."""
-        memo = {}
-
-        def states_of(node):
-            got = memo.get(node)
-            if got is not None:
-                return got
-            if node.is_leaf:
-                result = self.final[node.symbol]
-            else:
-                child_states = [states_of(c) for c in node.children]
-                result = frozenset(
-                    a
-                    for a in self.algebra.states
-                    if any(
-                        all(b in cs for b, cs in zip(tup, child_states))
-                        for tup in self.algebra.choices(node.symbol, a)
-                    )
-                )
-            memo[node] = result
-            return result
-
-        return states_of(t)
+        self.final = _check_finals(algebra, final)
 
     def accepts(self, t):
-        return bool(self.initial & self.accepting_states(t))
+        """Whether some run from an initial state ends in final states only: the
+        degree over the two-element chain with weight 1 on the final states."""
+        states, choices = self.algebra.states, self.algebra.choices
+        weights = {x: {a: "1" if a in chosen else "0" for a in states} for x, chosen in self.final.items()}
+        options = lambda f, a: [(tup, "1") for tup in choices(f, a)]
+        return _evaluate(_B2, weights, options, [(a, "1") for a in self.initial], (t,))[t] == "1"
 
     def nonempty(self):
         """Whether some tree is accepted: saturates the productive states until an initial one appears."""

@@ -16,7 +16,7 @@ from .decide import DEFAULT_BUDGET, ndt_compare
 from .errors import NotAChainError, NotNormalizedError
 from .paths import path_degree
 from .recognizers import LDtRecognizer, _capped_construction, dt_to_ndt
-from .terms import Tree
+from .terms import PathWord, Tree
 
 MAX_ROUNDS_SLACK = 1
 
@@ -180,57 +180,40 @@ def is_dt_recognizable(rec, budget=DEFAULT_BUDGET):
     return ndt_compare(dt_to_ndt(closure), normalized, budget)[0]
 
 
-def _spine(alphabet, letters, leaf, filler):
-    if not letters:
-        return Tree(leaf)
-    (f, i), rest = letters[0], letters[1:]
-    children = []
-    for j in range(1, alphabet.arity(f) + 1):
-        children.append(_spine(alphabet, rest, leaf, filler) if j == i else Tree(filler))
-    return Tree(f, children)
-
-
 def witness_tree(rec, path):
     """A tree containing the path whose degree equals the path's degree.
 
     Follows the transition choices that realize the path's best weight and
     pads the side branches with trees attaining each sibling's best degree;
     normalization makes those pads score no worse than the path branch.
+    Once no choice is left, the rest of the path is padded with the first
+    leaf.
     """
     require_chain(rec.lattice)
     if not is_normalized(rec):
         raise NotNormalizedError("witness construction needs a normalized recognizer")
     lat = rec.lattice
     table = max_values(rec)
-    filler = rec.alphabet.leaves[0]
-
-    def best_from(a, letters, leaf):
-        best = lat.bottom
-        for b in rec.algebra.path_states(a, letters):
-            best = lat.join(best, rec.weights[leaf][b])
-        return best
-
-    def build(a, letters, leaf):
-        if not letters:
-            return Tree(leaf)
-        (f, i), rest = letters[0], letters[1:]
-        choices = rec.algebra.choices(f, a)
-        if not choices:
-            return _spine(rec.alphabet, letters, leaf, filler)
-        tup = _argmax(lat, sorted(choices, key=repr), lambda c: best_from(c[i - 1], rest, leaf))
-        children = []
-        for j, b in enumerate(tup, start=1):
-            children.append(build(b, rest, leaf) if j == i else table.witnesses[b])
-        return Tree(f, children)
-
-    if not rec.initial:
-        return _spine(rec.alphabet, path.letters, path.leaf, filler)
-    start = _argmax(
-        lat,
-        sorted(rec.initial, key=repr),
-        lambda a: path_degree_ndt(rec, path, start=a),
-    )
-    return build(start, path.letters, path.leaf)
+    filler = Tree(rec.alphabet.leaves[0])
+    descending = bool(rec.initial)
+    if descending:
+        a = _argmax(lat, sorted(rec.initial, key=repr), lambda b: path_degree_ndt(rec, path, start=b))
+    steps = []  # (symbol, path slot, children) from the root down
+    for k, (f, i) in enumerate(path.letters):
+        choices = rec.algebra.choices(f, a) if descending else ()
+        if choices:
+            rest = PathWord(path.letters[k + 1 :], path.leaf)
+            tup = _argmax(lat, sorted(choices, key=repr), lambda c: path_degree_ndt(rec, rest, start=c[i - 1]))
+            steps.append((f, i, [table.witnesses[b] for b in tup]))
+            a = tup[i - 1]
+        else:
+            descending = False
+            steps.append((f, i, [filler] * rec.alphabet.arity(f)))
+    t = Tree(path.leaf)
+    for f, i, children in reversed(steps):
+        children[i - 1] = t
+        t = Tree(f, children)
+    return t
 
 
 def path_image_normalized(rec, path):

@@ -76,7 +76,7 @@ def _render_recognizer(ws, name, rec):
     return "\n".join(blocks)
 
 
-def run(command, args, ws, budget=10**6):
+def run(command, args, ws, budget=decide.DEFAULT_BUDGET):
     """Execute one command; returns (report text, exit code)."""
     if command == "eval":
         rec = _fuzzy(ws, args[0])
@@ -231,7 +231,7 @@ def main(argv=None):
         description="Lattice-valued fuzzy top-down tree automata toolbox.",
     )
     parser.add_argument("-f", "--file", action="append", default=[], help="workspace file (repeatable)")
-    parser.add_argument("--budget", type=int, default=10**6, help="guard for enumerations and fixpoints")
+    parser.add_argument("--budget", type=int, default=decide.DEFAULT_BUDGET, help="guard for enumerations and fixpoints")
     parser.add_argument("command", help="command to run")
     parser.add_argument("args", nargs=argparse.REMAINDER, help="command arguments")
     ns = parser.parse_args(argv)

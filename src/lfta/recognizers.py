@@ -8,7 +8,7 @@ can always be rewritten into the simple form when the lattice is distributive.
 
 from __future__ import annotations
 
-from .automata import NdtAlgebra, _is_single_state, explore
+from .automata import NdtAlgebra, _evaluate, _is_single_state, explore
 from .errors import (
     AlphabetMismatchError,
     LatticeMismatchError,
@@ -16,57 +16,6 @@ from .errors import (
     ValidationError,
 )
 from .terms import HOLE
-
-
-def _evaluate(lattice, weights, options, roots, trees):
-    """Each tree's degree: the join, over the (state, weight) pairs in `roots`,
-    of the weight met with the tree's degree from that state.
-
-    A leaf's degree from a state is its final weight there.  An inner node's
-    is the join, over the (child tuple, weight) pairs `options(symbol,
-    state)` lists, of the weight met with the children's degrees from the
-    tuple's states.  Top-down and memoized on (subtree, state) for this call
-    only, so only the pairs reachable from the roots are evaluated and each
-    option list is built once.  Bottom absorbs meets and top absorbs joins,
-    so a choice stops at its first child once its meet is bottom, and a join
-    stops at the first choice (or root) that brings it to top: the skipped
-    children and choices cannot change the value.  The lattice tables are
-    read unchecked: the weights were validated at construction.
-    """
-    meet, join, bottom, top = lattice._meet, lattice._join, lattice.bottom, lattice.top
-    memo, built = {}, {}
-
-    def degree(node, state):
-        if node.is_leaf:
-            return weights[node.symbol][state]
-        key = (node, state)
-        got = memo.get(key)
-        if got is None:
-            got = bottom
-            pair = (node.symbol, state)
-            listed = built.get(pair)
-            if listed is None:
-                listed = built[pair] = options(*pair)
-            for tup, c in listed:
-                for child, b in zip(node.children, tup):
-                    if c == bottom:
-                        break
-                    c = meet[c][degree(child, b)]
-                got = join[got][c]
-                if got == top:
-                    break
-            memo[key] = got
-        return got
-
-    out = {}
-    for t in trees:
-        got = bottom
-        for a, c in roots:
-            got = join[got][meet[c][degree(t, a)]]
-            if got == top:
-                break
-        out[t] = got
-    return out
 
 
 def _check_weights(lattice, alphabet, states, weights):
@@ -321,18 +270,17 @@ def from_finite_language(lattice, alphabet, support):
             continue
         lattice.check(value)
         alphabet.validate_tree(t)
-
-        def add(node, pos):
-            state = f"t{n}" + "".join(f".{i}" for i in pos)
+        roots.append(f"t{n}")
+        stack = [(t, f"t{n}")]  # states are listed parents first, children left to right
+        while stack:
+            node, state = stack.pop()
             states.append(state)
-            if node.is_leaf:
-                weights[node.symbol][state] = value
+            if node.children:
+                child_states = tuple(f"{state}.{i}" for i in range(1, len(node.children) + 1))
+                transitions[node.symbol][state] = (child_states,)
+                stack.extend(reversed(list(zip(node.children, child_states))))
             else:
-                child_states = [add(c, pos + (i,)) for i, c in enumerate(node.children, 1)]
-                transitions[node.symbol][state] = (tuple(child_states),)
-            return state
-
-        roots.append(add(t, ()))
+                weights[node.symbol][state] = value
     if not states:
         states = ["dead"]
     algebra = NdtAlgebra(alphabet, states, transitions)

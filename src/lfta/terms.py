@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
+from operator import attrgetter
 
 from .errors import ArityMismatchError, NotAlphabeticError, NotInjectiveError, ParseError, ValidationError
 
@@ -96,9 +97,22 @@ class Tree:
         return h
 
     def __str__(self):
-        if self.is_leaf:
-            return str(self.symbol)
-        return f"{self.symbol}({','.join(str(c) for c in self.children)})"
+        # the stack holds trees still to print and the punctuation after them
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is str:
+                out.append(node)
+            elif node.children:
+                children = node.children
+                out.append(f"{node.symbol}(")
+                stack.append(")")
+                for c in children[:0:-1]:
+                    stack += (c, ",")
+                stack.append(children[0])
+            else:
+                out.append(str(node.symbol))
+        return "".join(out)
 
     def __repr__(self):
         return f"Tree[{self}]"
@@ -114,6 +128,31 @@ _set_symbol, _set_children, _set_hash, _set_height = (
     Tree._hash.__set__,
     Tree._height.__set__,
 )
+_children = attrgetter("children")
+
+
+def _fold(root, children, combine):
+    """Post-order fold with an explicit stack, so trees of any height need no recursion.
+
+    `children(item)` lists an item's children; `combine(item, results)`
+    receives the item with its children's results, in order.  One pass
+    records the items parents first, then a second combines them in reverse.
+    """
+    order, stack = [], [root]
+    while stack:
+        item = stack.pop()
+        kids = children(item)
+        order.append((item, len(kids)))
+        stack.extend(kids)  # last child on top: the reverse pass meets the first child first
+    results = []
+    for item, n in reversed(order):
+        if n:
+            args = results[-n:]
+            del results[-n:]
+            results.append(combine(item, args))
+        else:
+            results.append(combine(item, ()))
+    return results[0]
 
 
 def metrics(t):
@@ -181,16 +220,19 @@ class RankedAlphabet:
         return f"RankedAlphabet({syms}; {','.join(self.leaves)})"
 
     def validate_tree(self, t, extra_leaves=()):
-        """Check arities and leaf membership throughout `t`."""
-        if t.is_leaf:
-            if not (t.symbol in self.leaves or t.symbol in extra_leaves):
-                raise ValidationError(f"unknown leaf {t.symbol!r}")
-            return
-        m = self.arity(t.symbol)
-        if len(t.children) != m:
-            raise ArityMismatchError(f"{t.symbol!r} expects {m} children, got {len(t.children)}")
-        for c in t.children:
-            self.validate_tree(c, extra_leaves)
+        """Check arities and leaf membership throughout `t`, reporting the first fault in preorder."""
+        leaves, arity, stack = self.leaves, self.arity, [t]
+        while stack:
+            node = stack.pop()
+            children = node.children
+            if not children:
+                if not (node.symbol in leaves or node.symbol in extra_leaves):
+                    raise ValidationError(f"unknown leaf {node.symbol!r}")
+                continue
+            m = arity(node.symbol)
+            if len(children) != m:
+                raise ArityMismatchError(f"{node.symbol!r} expects {m} children, got {len(children)}")
+            stack += children[::-1]
 
     def validate_path(self, r):
         """Check that each letter of path word `r` names a child slot of its symbol and that it ends in a leaf."""
@@ -269,19 +311,19 @@ def parse_path(text):
 
 def delta(t):
     """All root-to-leaf path words of `t`, sorted for reproducibility."""
-    out = []
-
-    def walk(node, prefix):
-        if node.is_leaf:
-            out.append(PathWord(tuple(prefix), node.symbol))
-            return
-        for i, c in enumerate(node.children, start=1):
-            prefix.append((node.symbol, i))
-            walk(c, prefix)
-            prefix.pop()
-
-    walk(t, [])
-    return tuple(sorted(set(out), key=str))
+    # a stack entry is a node, the length of its parent's path and the letter into it
+    out, prefix, stack = set(), [], [(t, 0, None)]
+    while stack:
+        node, depth, letter = stack.pop()
+        del prefix[depth:]
+        if letter is not None:
+            prefix.append(letter)
+        if node.children:
+            symbol, below = node.symbol, len(prefix)
+            stack += [(c, below, (symbol, i)) for i, c in enumerate(node.children, start=1)]
+        else:
+            out.add(PathWord(tuple(prefix), node.symbol))
+    return tuple(sorted(out, key=str))
 
 
 def path_closure_crisp(alphabet, trees, height_bound):
@@ -340,29 +382,18 @@ class Context:
     @property
     def depth(self):
         """Distance from the root to the hole."""
-
-        def dist(node):
-            if node.is_leaf:
-                return 0 if node.symbol == HOLE else None
-            for c in node.children:
-                d = dist(c)
-                if d is not None:
-                    return d + 1
-            return None
-
-        return dist(self.tree)
+        stack = [(self.tree, 0)]
+        while stack:
+            node, d = stack.pop()
+            if not node.children and node.symbol == HOLE:
+                return d
+            stack.extend((c, d + 1) for c in node.children)
 
     def fill(self, arg):
         """Substitute a tree (giving a tree) or a context (giving a context)."""
-        plug = arg.tree if isinstance(arg, Context) else arg
-
-        def go(node):
-            if node.is_leaf:
-                return plug if node.symbol == HOLE else node
-            return Tree(node.symbol, [go(c) for c in node.children])
-
-        filled = go(self.tree)
-        return Context(filled) if isinstance(arg, Context) else filled
+        if isinstance(arg, Context):
+            return Context(substitute(self.tree, {HOLE: arg.tree}))
+        return substitute(self.tree, {HOLE: arg})
 
     def __eq__(self, other):
         return isinstance(other, Context) and self.tree == other.tree
@@ -387,21 +418,16 @@ def parse_context(text):
 
 def context_at(t, position):
     """Split `t` at a child-index position into (context, subtree)."""
-    if not position:
-        return hole(), t
-
-    def rebuild(node, pos):
-        i = pos[0]
+    above = []
+    for i in position:
+        above.append((t, i))
+        t = t.children[i]
+    shape = Tree(HOLE)
+    for node, i in reversed(above):
         children = list(node.children)
-        if len(pos) == 1:
-            sub = children[i]
-            children[i] = Tree(HOLE)
-        else:
-            children[i], sub = rebuild(children[i], pos[1:])
-        return Tree(node.symbol, children), sub
-
-    shape, sub = rebuild(t, list(position))
-    return Context(shape), sub
+        children[i] = shape
+        shape = Tree(node.symbol, children)
+    return Context(shape), t
 
 
 # -- tree homomorphisms --------------------------------------------------
@@ -470,23 +496,23 @@ class TreeHomomorphism:
             raise NotInjectiveError("homomorphism is not injective")
 
     def __call__(self, t):
-        if t.is_leaf:
-            m = _VAR.match(str(t.symbol))
-            if m:
+        def combine(node, images):
+            if images:
+                table = {f"${i}": image for i, image in enumerate(images, start=1)}
+                return substitute(self.symbol_images[node.symbol], table)
+            if _VAR.match(str(node.symbol)):
                 raise ValidationError("cannot apply homomorphism to a variable")
-            return self.leaf_images[t.symbol]
-        images = [self(c) for c in t.children]
-        return substitute_vars(self.symbol_images[t.symbol], images)
+            return self.leaf_images[node.symbol]
+
+        return _fold(t, _children, combine)
 
 
-def substitute_vars(image, replacements):
-    """Replace each ``$i`` leaf of `image` by replacements[i-1]."""
-    if image.is_leaf:
-        m = _VAR.match(str(image.symbol))
-        if m:
-            return replacements[int(m.group(1)) - 1]
-        return image
-    return Tree(image.symbol, [substitute_vars(c, replacements) for c in image.children])
+def substitute(t, table):
+    """`t` with each leaf whose symbol is a key of `table` replaced by its value.
+
+    Serves the ``$i`` variables of homomorphism images and the context hole.
+    """
+    return _fold(t, _children, lambda node, kids: Tree(node.symbol, kids) if kids else table.get(node.symbol, node))
 
 
 def identity_hom(alphabet):

@@ -3,11 +3,12 @@
 Also the earlier DT deciders, by height layers and by pairs of lattice
 values, kept as verdict references for the cut and cycle-test versions in
 `lfta.decide`, and the evaluation kernel without its absorbing
-short-circuits, kept as the reference for `lfta.recognizers._evaluate`,
-the saturation loop over (value, witness) items, kept as the reference for
-the values-only one in `lfta.automata.saturate`, and the
-character-at-a-time workspace tokenizer, kept as the reference for the
-regular-expression one in `lfta.workspace`.
+short-circuits, kept as the reference for `lfta.automata._evaluate`,
+the crisp NDT acceptance walk, kept as the reference for
+`lfta.automata.NdtRecognizer.accepts`, the saturation loop over (value,
+witness) items, kept as the reference for the values-only one in
+`lfta.automata.saturate`, and the character-at-a-time workspace tokenizer,
+kept as the reference for the regular-expression one in `lfta.workspace`.
 """
 
 import random
@@ -210,7 +211,7 @@ def compare_by_value_pairs(f_rec, g_rec):
 
 
 def eager_evaluate(lattice, weights, options, roots, trees):
-    """`recognizers._evaluate` as it was before its absorbing short-circuits:
+    """`automata._evaluate` as it was before its absorbing short-circuits:
     every child of every choice, and every choice and root, is evaluated."""
     meet, join, bottom = lattice._meet, lattice._join, lattice.bottom
     memo, built = {}, {}
@@ -240,6 +241,33 @@ def eager_evaluate(lattice, weights, options, roots, trees):
             got = join[got][meet[c][degree(t, a)]]
         out[t] = got
     return out
+
+
+def accepting_states(rec, t):
+    """All states from which the crisp NDT recognizer `rec` accepts `t`: the
+    bottom-up walk `NdtRecognizer.accepts` used before it ran on the kernel."""
+    memo = {}
+
+    def states_of(node):
+        got = memo.get(node)
+        if got is not None:
+            return got
+        if node.is_leaf:
+            result = rec.final[node.symbol]
+        else:
+            child_states = [states_of(c) for c in node.children]
+            result = frozenset(
+                a
+                for a in rec.algebra.states
+                if any(
+                    all(b in cs for b, cs in zip(tup, child_states))
+                    for tup in rec.algebra.choices(node.symbol, a)
+                )
+            )
+        memo[node] = result
+        return result
+
+    return states_of(t)
 
 
 # -- saturation reference ---------------------------------------------------

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lfta import fixtures
 from lfta.automata import (
@@ -11,7 +12,7 @@ from lfta.automata import (
 from lfta.errors import ValidationError
 from lfta.terms import RankedAlphabet, Tree, parse_tree
 
-from helpers import random_tree, seeded, spine_tree
+from helpers import accepting_states, random_tree, seeded, spine_tree
 
 
 def dead_branch_algebra():
@@ -206,3 +207,29 @@ def test_algebra_validation():
         DtAlgebra(alph, ["a"], {"f": {"a": ("a",)}})
     with pytest.raises(ValidationError):
         NdtAlgebra(alph, ["a"], {"f": {"a": [("a", "missing")]}})
+
+
+@st.composite
+def _crisp_ndts_and_trees(draw):
+    """A crisp NDT with 1-3 states, 0-2 choices per symbol and state and a possibly
+    empty initial set, with every single-leaf tree and random trees of height <= 4."""
+    alphabet = draw(st.sampled_from((fixtures.alphabet_mixed(), fixtures.alphabet_ternary())))
+    states = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    state = st.sampled_from(states)
+    transitions = {
+        f: {a: [tuple(draw(state) for _ in range(m)) for _ in range(draw(st.integers(0, 2)))] for a in states}
+        for f, m in alphabet.symbols
+    }
+    final = {x: draw(st.sets(state)) for x in alphabet.leaves}
+    rec = NdtRecognizer(NdtAlgebra(alphabet, states, transitions), draw(st.sets(state)), final)
+    rng = seeded(draw(st.integers(0, 10**6)))
+    trees = [Tree(x) for x in alphabet.leaves] + [random_tree(rng, alphabet, rng.randint(1, 4)) for _ in range(6)]
+    return rec, trees
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_crisp_ndts_and_trees())
+def test_ndt_accepts_matches_the_accepting_states_reference(case):
+    rec, trees = case
+    for t in trees:
+        assert rec.accepts(t) == bool(rec.initial & accepting_states(rec, t))

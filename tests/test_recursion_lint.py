@@ -1,0 +1,55 @@
+"""Tree walks run on an explicit stack; the few functions that still call themselves are listed here.
+
+A function counts as recursive when its body calls it by name, as
+`self.<name>`, or, for `__call__`, as `self(...)`.  `oracle.py` is the
+independent reference and is not scanned.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lfta"
+
+# (module, qualified name) of each function allowed to call itself, and why
+ALLOWED = {
+    ("automata", "_evaluate.degree"),  # the evaluation kernel: a hot path, one frame per tree level
+    ("terms", "parse_tree.node"),  # the CLI's entry point; deep inputs fail here before they cost memory
+    ("terms", "path_closure_crisp.realize"),  # recurses on the height bound, not on an input tree
+    ("workspace", "state_token"),  # recurses on the nesting of constructed state names
+}
+
+
+def _self_calls(module, tree):
+    found = set()
+    stack = [(node, ()) for node in tree.body]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+            names = {node.name, "self"} if node.name == "__call__" else {node.name}
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                by_name = isinstance(func, ast.Name) and func.id in names
+                by_self = (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == node.name
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "self"
+                )
+                if by_name or by_self:
+                    found.add((module, ".".join(scope)))
+                    break
+        elif isinstance(node, ast.ClassDef):
+            scope = scope + (node.name,)
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_only_the_listed_functions_recurse():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "oracle.py":
+            found |= _self_calls(path.stem, ast.parse(path.read_text(), filename=str(path)))
+    assert found == ALLOWED
