@@ -41,7 +41,8 @@ class Lattice:
     """
 
     __slots__ = (
-        "elements", "_index", "_leq", "_meet", "_join", "bottom", "top", "_distributive", "_join_irreducibles"
+        "elements", "_index", "_leq", "_down", "_up", "_meet", "_join", "bottom", "top",
+        "_chain", "_distributive", "_join_irreducibles",
     )
 
     def __init__(self, elements, order_pairs):
@@ -52,58 +53,66 @@ class Lattice:
             raise MissingBoundError("empty carrier")
         index = {e: i for i, e in enumerate(elements)}
         n = len(elements)
-        leq = [[False] * n for _ in range(n)]
-        for i in range(n):
-            leq[i][i] = True
+        # down[j] has bit i exactly when element i <= element j
+        down = [1 << i for i in range(n)]
         for a, b in order_pairs:
             if a not in index or b not in index:
                 raise ForeignElementError(f"order mentions unknown element {a if a not in index else b!r}")
-            leq[index[a]][index[b]] = True
-        # reflexive-transitive closure
+            down[index[b]] |= 1 << index[a]
+        # reflexive-transitive closure (Warshall on bit rows)
         for k in range(n):
-            lk = leq[k]
+            bit, row = 1 << k, down[k]
+            for j in range(n):
+                if down[j] & bit:
+                    down[j] |= row
+        by_down = {d: i for i, d in enumerate(down)}
+        if len(by_down) != n:  # i <= j <= i makes the two down-sets equal
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if down[i] == down[j])
+            raise CycleInOrderError(f"elements {elements[i]!r} and {elements[j]!r} order each other")
+        up = [0] * n
+        for j, d in enumerate(down):
+            bit = 1 << j
             for i in range(n):
-                if leq[i][k]:
-                    li = leq[i]
-                    for j in range(n):
-                        if lk[j]:
-                            li[j] = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if leq[i][j] and leq[j][i]:
-                    raise CycleInOrderError(f"elements {elements[i]!r} and {elements[j]!r} order each other")
+                if d >> i & 1:
+                    up[i] |= bit
         self.elements = elements
         self._index = index
-        self._leq = leq
-        bottoms = [e for e in elements if all(leq[index[e]][j] for j in range(n))]
-        tops = [e for e in elements if all(leq[j][index[e]] for j in range(n))]
+        self._down, self._up = tuple(down), tuple(up)
+        self._leq = [[bool(u >> j & 1) for j in range(n)] for u in up]
+        full = (1 << n) - 1
+        bottoms = [e for e, u in zip(elements, up) if u == full]
+        tops = [e for e, d in zip(elements, down) if d == full]
         if len(bottoms) != 1 or len(tops) != 1:
             raise MissingBoundError("no unique bottom/top element")
         self.bottom = bottoms[0]
         self.top = tops[0]
         if self.bottom == self.top:
             raise MissingBoundError("trivial lattice: bottom equals top")
-        self._meet, self._join = self._build_tables()
+        self._meet, self._join = self._build_tables(by_down)
+        self._chain = None
         self._distributive = None
         self._join_irreducibles = None
 
-    def _build_tables(self):
-        es = self.elements
-        n = len(es)
-        leq = self._leq
-        meet = {a: {} for a in es}
-        join = {a: {} for a in es}
-        for i in range(n):
-            for j in range(n):
-                lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
-                glb = [k for k in lower if all(leq[m][k] for m in lower)]
-                upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
-                lub = [k for k in upper if all(leq[k][m] for m in upper)]
-                if len(glb) != 1 or len(lub) != 1:
-                    pair = (es[i], es[j])
-                    raise NotALatticeError(f"pair {pair} lacks a unique meet or join")
-                meet[es[i]][es[j]] = es[glb[0]]
-                join[es[i]][es[j]] = es[lub[0]]
+    def _build_tables(self, by_down):
+        """Meet and join keyed by element.
+
+        The lower bounds of a pair are the meet of their down-sets, and they
+        have a greatest element exactly when that set is some element's
+        down-set; joins come from the up-sets the same way.
+        """
+        es, down, up = self.elements, self._down, self._up
+        by_up = {u: i for i, u in enumerate(up)}
+        meet, join = {}, {}
+        for i, a in enumerate(es):
+            lower, upper = down[i], up[i]
+            glb = [by_down.get(lower & d) for d in down]
+            lub = [by_up.get(upper & u) for u in up]
+            if None in glb or None in lub:
+                j = next(j for j in range(len(es)) if glb[j] is None or lub[j] is None)
+                pair = (a, es[j])
+                raise NotALatticeError(f"pair {pair} lacks a unique meet or join")
+            meet[a] = {b: es[k] for b, k in zip(es, glb)}
+            join[a] = {b: es[k] for b, k in zip(es, lub)}
         return meet, join
 
     # -- basic queries -------------------------------------------------
@@ -195,16 +204,29 @@ class Lattice:
     # -- classification ------------------------------------------------
 
     def is_chain(self):
-        n = len(self.elements)
-        return all(self._leq[i][j] or self._leq[j][i] for i in range(n) for j in range(i + 1, n))
+        """True when every two elements are comparable; computed once."""
+        if self._chain is None:
+            full = (1 << len(self.elements)) - 1
+            self._chain = all(d | u == full for d, u in zip(self._down, self._up))
+        return self._chain
 
     def is_distributive(self):
-        # O(n^3) exhaustive scan, run once: a lattice never changes after construction.
+        """Whether meet distributes over join; computed once.
+
+        Let phi(a) be the set of join-irreducibles below `a`.  In any finite
+        lattice phi is injective and phi(a meet b) = phi(a) & phi(b), and
+        phi(a join b) contains phi(a) | phi(b).  When equality holds for every
+        pair, phi embeds the lattice into a powerset, so it is distributive;
+        when the lattice is distributive, every join-irreducible is
+        join-prime, so equality holds.  That is O(n^2) pairs, not O(n^3)
+        triples.
+        """
         if self._distributive is None:
-            meet, join = self._meet, self._join
+            index, join = self._index, self._join
+            irreducible = sum(1 << index[j] for j in self.join_irreducibles())
+            phi = {e: d & irreducible for e, d in zip(self.elements, self._down)}
             self._distributive = all(
-                meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]]
-                for a, b, c in iproduct(self.elements, repeat=3)
+                phi[join[a][b]] == pa | phi[b] for a, pa in phi.items() for b in phi
             )
         return self._distributive
 
@@ -227,6 +249,19 @@ class Lattice:
                     found.append(e)
             self._join_irreducibles = tuple(found)
         return self._join_irreducibles
+
+    def covers(self):
+        """The pairs (a, b) where b covers a: a < b with nothing strictly between.
+
+        Listed in declaration order of `a`, then of `b`.
+        """
+        es, down, up, n = self.elements, self._down, self._up, len(self.elements)
+        return [
+            (es[i], es[j])
+            for i in range(n)
+            for j in range(n)
+            if i != j and up[i] & down[j] == 1 << i | 1 << j
+        ]
 
     def zero_meet_irreducible(self):
         """True when no two nonzero elements meet to bottom."""
@@ -258,13 +293,14 @@ def split_pair_id(e):
 
 
 def product(left, right):
-    """Componentwise product lattice; elements are '<a>|<b>' ids."""
+    """Componentwise product lattice; elements are '<a>|<b>' ids.
+
+    Its order is generated by the covers of one component with the other
+    held fixed.
+    """
     elements = [pair_id(a, b) for a in left.elements for b in right.elements]
-    pairs = []
-    for a1, b1 in iproduct(left.elements, right.elements):
-        for a2, b2 in iproduct(left.elements, right.elements):
-            if left.leq(a1, a2) and right.leq(b1, b2):
-                pairs.append((pair_id(a1, b1), pair_id(a2, b2)))
+    pairs = [(pair_id(a1, b), pair_id(a2, b)) for a1, a2 in left.covers() for b in right.elements]
+    pairs += [(pair_id(a, b1), pair_id(a, b2)) for a in left.elements for b1, b2 in right.covers()]
     return Lattice(elements, pairs)
 
 

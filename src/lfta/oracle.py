@@ -9,11 +9,12 @@ budgets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iproduct
 
 from .errors import AlphabetMismatchError, BudgetExceededError, LatticeMismatchError
 from .recognizers import GeneralLNdtRecognizer, LDtRecognizer, LNdtRecognizer
-from .terms import Tree, delta, path_closure_crisp
+from .terms import PathWord, Tree, delta
 
 
 def enum_trees(alphabet, max_height, budget=10**6):
@@ -136,6 +137,43 @@ def value_from_paths(lattice, path_values, t, default=None):
     for r in delta(t):
         acc = lattice.meet(acc, path_values.get(r, default))
     return acc
+
+
+def path_closure_crisp(alphabet, trees, height_bound):
+    """All trees of height <= bound whose every path occurs in the given set.
+
+    Works on the path-set directly: a node is admissible when each child can
+    realize the corresponding residual path set, so no global enumeration of
+    the tree space is needed.
+    """
+    allowed = frozenset(p for t in trees for p in delta(t))
+
+    @lru_cache(maxsize=None)
+    def realize(paths, bound):
+        found = []
+        for x in alphabet.leaves:
+            if PathWord((), x) in paths:
+                found.append(Tree(x))
+        if bound == 0:
+            return tuple(found)
+        for f, m in alphabet.symbols:
+            residuals = []
+            for i in range(1, m + 1):
+                residuals.append(
+                    frozenset(PathWord(p.letters[1:], p.leaf) for p in paths if p.letters[:1] == ((f, i),))
+                )
+            if any(not r for r in residuals):
+                continue
+            options = [realize(r, bound - 1) for r in residuals]
+            if any(not o for o in options):
+                continue
+            for combo in iproduct(*options):
+                found.append(Tree(f, combo))
+        return tuple(found)
+
+    result = realize(allowed, height_bound)
+    realize.cache_clear()
+    return set(result)
 
 
 def fuzzy_path_closure(phi, max_height, budget=10**6):

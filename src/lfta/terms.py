@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product as iproduct
 from operator import attrgetter
 
 from .errors import ArityMismatchError, NotAlphabeticError, NotInjectiveError, ParseError, ValidationError
@@ -324,43 +322,6 @@ def delta(t):
         else:
             out.add(PathWord(tuple(prefix), node.symbol))
     return tuple(sorted(out, key=str))
-
-
-def path_closure_crisp(alphabet, trees, height_bound):
-    """All trees of height <= bound whose every path occurs in the given set.
-
-    Works on the path-set directly: a node is admissible when each child can
-    realize the corresponding residual path set, so no global enumeration of
-    the tree space is needed.
-    """
-    allowed = frozenset(p for t in trees for p in delta(t))
-
-    @lru_cache(maxsize=None)
-    def realize(paths, bound):
-        found = []
-        for x in alphabet.leaves:
-            if PathWord((), x) in paths:
-                found.append(Tree(x))
-        if bound == 0:
-            return tuple(found)
-        for f, m in alphabet.symbols:
-            residuals = []
-            for i in range(1, m + 1):
-                residuals.append(
-                    frozenset(PathWord(p.letters[1:], p.leaf) for p in paths if p.letters[:1] == ((f, i),))
-                )
-            if any(not r for r in residuals):
-                continue
-            options = [realize(r, bound - 1) for r in residuals]
-            if any(not o for o in options):
-                continue
-            for combo in iproduct(*options):
-                found.append(Tree(f, combo))
-        return tuple(found)
-
-    result = realize(allowed, height_bound)
-    realize.cache_clear()
-    return set(result)
 
 
 # -- contexts -----------------------------------------------------------

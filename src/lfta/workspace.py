@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import re
 from functools import reduce
-from itertools import groupby
 
 from .automata import DtAlgebra, DtRecognizer, NdtAlgebra, NdtRecognizer
 from .errors import FuzzyTreeError, ParseError, ValidationError
@@ -33,6 +32,7 @@ from .recognizers import LDtRecognizer, LNdtRecognizer
 from .terms import RankedAlphabet, Tree, TreeHomomorphism, parse_tree
 
 _TOKEN = re.compile(r"[{};:]|[^ \t\r\n{};:#]+")
+_COMMENT = re.compile(r"#[^\n]*")
 
 
 def tokenize(text):
@@ -164,26 +164,32 @@ def _same(a, b, fields):
 # -- parsing ---------------------------------------------------------------
 
 class _Parser:
+    """A cursor over the tokens of a text without their positions, which
+    `tokenize` finds again only for an error."""
+
     def __init__(self, text):
-        self.tokens = tokenize(text)
-        self.words = [tok for tok, _, _ in self.tokens]
+        self.text = text
+        self.words = _TOKEN.findall(_COMMENT.sub("", text))
         self.pos = 0
 
     def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+        return self.words[self.pos] if self.pos < len(self.words) else None
 
     def next(self, expected=None):
-        if self.pos >= len(self.tokens):
+        if self.pos >= len(self.words):
             raise ParseError("unexpected end of input")
-        tok, line, col = self.tokens[self.pos]
+        tok = self.words[self.pos]
         if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, found {tok!r}", line, col)
+            self._raise_at(self.pos, f"expected {expected!r}, found {tok!r}")
         self.pos += 1
         return tok
 
     def error(self, message):
         """Raise `message` at the position of the token just read."""
-        _, line, col = self.tokens[self.pos - 1]
+        self._raise_at(self.pos - 1, message)
+
+    def _raise_at(self, k, message):
+        _, line, col = tokenize(self.text)[k]
         raise ParseError(message, line, col)
 
     def clauses(self):
@@ -194,7 +200,16 @@ class _Parser:
         except ValueError:
             raise ParseError("missing '}'") from None
         body, self.pos = self.words[self.pos : end], end + 1
-        return [list(run) for sep, run in groupby(body, ";".__eq__) if not sep]
+        clauses, clause = [], []
+        for word in body:
+            if word != ";":
+                clause.append(word)
+            elif clause:
+                clauses.append(clause)
+                clause = []
+        if clause:
+            clauses.append(clause)
+        return clauses
 
 
 def _split_pairs(tokens, sep, clause):
@@ -346,8 +361,7 @@ def _parse_recognizer_body(p, alphabet, deterministic):
             targets = tuple(clause[4:])
             if f not in transitions:
                 raise ParseError(f"unknown symbol {f!r} in trans clause")
-            transitions[f].setdefault(source, [])
-            transitions[f][source].append(targets)
+            transitions[f].setdefault(source, []).append(targets)
         elif head == "final":
             if len(clause) < 3 or clause[2] != ":":
                 raise ParseError("final clause needs 'final <leaf> : ...'")
@@ -386,23 +400,8 @@ def load(paths):
 
 # -- serialization -----------------------------------------------------------
 
-def _cover_pairs(lattice):
-    pairs = []
-    for a in lattice.elements:
-        for b in lattice.elements:
-            if a == b or not lattice.leq(a, b):
-                continue
-            strictly_between = any(
-                c not in (a, b) and lattice.leq(a, c) and lattice.leq(c, b)
-                for c in lattice.elements
-            )
-            if not strictly_between:
-                pairs.append((a, b))
-    return pairs
-
-
 def serialize_lattice(name, lattice):
-    order = " ".join(f"{a}<{b}" for a, b in _cover_pairs(lattice))
+    order = " ".join(f"{a}<{b}" for a, b in lattice.covers())
     return f"lattice {name} {{ elements {' '.join(lattice.elements)} ; order {order} }}"
 
 

@@ -7,8 +7,11 @@ short-circuits, kept as the reference for `lfta.automata._evaluate`,
 the crisp NDT acceptance walk, kept as the reference for
 `lfta.automata.NdtRecognizer.accepts`, the saturation loop over (value,
 witness) items, kept as the reference for the values-only one in
-`lfta.automata.saturate`, and the character-at-a-time workspace tokenizer,
-kept as the reference for the regular-expression one in `lfta.workspace`.
+`lfta.automata.saturate`, the character-at-a-time workspace tokenizer,
+kept as the reference for the regular-expression one in `lfta.workspace`,
+and the lattice construction that scans the bounds of every pair and the
+distributivity test over all triples, kept as references for the bit-row
+tables and the join-irreducible test in `lfta.lattice`.
 """
 
 import random
@@ -17,6 +20,7 @@ from math import prod
 
 from lfta import decide, fixtures
 from lfta.automata import Budget, DtAlgebra, NdtAlgebra
+from lfta.errors import CycleInOrderError, ForeignElementError, MissingBoundError, NotALatticeError
 from lfta.lattice import validate
 from lfta.recognizers import (
     GeneralLNdtRecognizer,
@@ -345,3 +349,61 @@ def tokenize_by_characters(text):
                 col += 1
             tokens.append((text[start:i], line, start_col))
     return tokens
+
+
+# -- lattice references -----------------------------------------------------
+
+
+def lattice_by_scan(elements, order_pairs):
+    """`lfta.lattice.Lattice` construction as it was before its bit rows:
+    returns (leq, bottom, top, meet, join), with `leq` the list of boolean
+    rows, after scanning the lower and upper bounds of every pair (O(n^4)).
+    Raises the errors `Lattice` raises, with the same messages."""
+    elements = tuple(elements)
+    if len(set(elements)) != len(elements):
+        raise NotALatticeError("duplicate element ids")
+    if not elements:
+        raise MissingBoundError("empty carrier")
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in order_pairs:
+        if a not in index or b not in index:
+            raise ForeignElementError(f"order mentions unknown element {a if a not in index else b!r}")
+        leq[index[a]][index[b]] = True
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                for j in range(n):
+                    if leq[k][j]:
+                        leq[i][j] = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            if leq[i][j] and leq[j][i]:
+                raise CycleInOrderError(f"elements {elements[i]!r} and {elements[j]!r} order each other")
+    bottoms = [e for e in elements if all(leq[index[e]][j] for j in range(n))]
+    tops = [e for e in elements if all(leq[j][index[e]] for j in range(n))]
+    if len(bottoms) != 1 or len(tops) != 1:
+        raise MissingBoundError("no unique bottom/top element")
+    if bottoms[0] == tops[0]:
+        raise MissingBoundError("trivial lattice: bottom equals top")
+    meet = {a: {} for a in elements}
+    join = {a: {} for a in elements}
+    for i in range(n):
+        for j in range(n):
+            lower = [k for k in range(n) if leq[k][i] and leq[k][j]]
+            glb = [k for k in lower if all(leq[m][k] for m in lower)]
+            upper = [k for k in range(n) if leq[i][k] and leq[j][k]]
+            lub = [k for k in upper if all(leq[k][m] for m in upper)]
+            if len(glb) != 1 or len(lub) != 1:
+                pair = (elements[i], elements[j])
+                raise NotALatticeError(f"pair {pair} lacks a unique meet or join")
+            meet[elements[i]][elements[j]] = elements[glb[0]]
+            join[elements[i]][elements[j]] = elements[lub[0]]
+    return leq, bottoms[0], tops[0], meet, join
+
+
+def is_distributive_by_triples(lattice):
+    """Whether a meet (b join c) equals (a meet b) join (a meet c) for every triple."""
+    meet, join, es = lattice._meet, lattice._join, lattice.elements
+    return all(meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]] for a in es for b in es for c in es)

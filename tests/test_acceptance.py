@@ -16,6 +16,7 @@ from lfta.oracle import (
     enum_trees,
     eval_reference_map,
     is_path_closed,
+    path_closure_crisp,
     x_iteration_window,
     x_product,
 )
@@ -28,7 +29,6 @@ from lfta.terms import (
     parse_context,
     parse_path,
     parse_tree,
-    path_closure_crisp,
     var,
 )
 

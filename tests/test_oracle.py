@@ -13,6 +13,7 @@ from lfta.oracle import (
     intersection,
     is_path_closed,
     map_values,
+    path_closure_crisp,
     path_image,
     scalar,
     subalgebra_degree,
@@ -24,7 +25,7 @@ from lfta.oracle import (
 )
 from lfta.lattice import LatticeMorphism
 from lfta.recognizers import from_finite_language
-from lfta.terms import delta, parse_tree, path_closure_crisp
+from lfta.terms import delta, parse_tree
 
 from helpers import random_ndt, seeded
 

@@ -14,7 +14,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "lfta"
 ALLOWED = {
     ("automata", "_evaluate.degree"),  # the evaluation kernel: a hot path, one frame per tree level
     ("terms", "parse_tree.node"),  # the CLI's entry point; deep inputs fail here before they cost memory
-    ("terms", "path_closure_crisp.realize"),  # recurses on the height bound, not on an input tree
     ("workspace", "state_token"),  # recurses on the nesting of constructed state names
 }
 

@@ -3,6 +3,7 @@ import pytest
 from lfta import chain as chain_ops, fixtures
 from lfta.automata import DtAlgebra
 from lfta.errors import ArityMismatchError, FuzzyTreeError, ParseError, ValidationError
+from lfta.oracle import path_closure_crisp
 from lfta.recognizers import LNdtRecognizer, from_finite_language
 from lfta.terms import (
     HOLE,
@@ -19,7 +20,6 @@ from lfta.terms import (
     parse_context,
     parse_path,
     parse_tree,
-    path_closure_crisp,
     var,
 )
 

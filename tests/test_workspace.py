@@ -8,7 +8,7 @@ from lfta.errors import ParseError, ValidationError
 from lfta.oracle import enum_trees
 from lfta.recognizers import LNdtRecognizer
 from lfta.terms import parse_tree
-from lfta.workspace import Workspace, load, load_text, serialize, state_token, tokenize
+from lfta.workspace import Workspace, _Parser, load, load_text, serialize, state_token, tokenize
 
 from helpers import tokenize_by_characters
 
@@ -197,6 +197,19 @@ def test_tokenize_matches_the_character_reference_on_the_goldens():
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         assert tokenize(text) == tokenize_by_characters(text)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_TOKEN_TEXTS)
+def test_parser_words_are_the_tokens_without_positions(text):
+    assert _Parser(text).words == [w for w, _, _ in tokenize(text)]
+
+
+def test_parser_words_are_the_tokens_without_positions_on_the_goldens():
+    for path in glob.glob("goldens/*.lfta"):
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        assert _Parser(text).words == [w for w, _, _ in tokenize(text)]
 
 
 def test_tokenize_lexical_rules():
