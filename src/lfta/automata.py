@@ -116,7 +116,8 @@ class NdtAlgebra:
                         if b not in state_set:
                             raise ValidationError(f"unknown target state {b!r}")
                     choices.append(tup)
-                table[f][a] = tuple(sorted(set(choices), key=repr))
+                # sorted by text, so the order does not depend on hashing; one choice is its own order
+                table[f][a] = tuple(sorted(set(choices), key=repr)) if len(choices) > 1 else tuple(choices)
         self.alphabet = alphabet
         self.states = states
         self.transitions = table
@@ -227,6 +228,43 @@ def subset_algebra(algebra, starts):
 
     states, transitions = explore(algebra.alphabet, map(frozenset, starts), expand)
     return DtAlgebra(algebra.alphabet, states, transitions)
+
+
+def refine(leaf_rows, rows):
+    """The coarsest stable partition of the states 0..n-1 (forward bisimulation).
+
+    `leaf_rows[i]` is state `i`'s row of leaf weights, and `rows[i]` holds,
+    per symbol, its choices as tuples of state numbers.  The first blocks
+    group states by leaf row.  Each round splits a block by one signature
+    per symbol: the set of the state's choices written in blocks.  A row of
+    one choice signs as its tuple, and so does a row whose choices all fall
+    on one block tuple, so no frozenset is built for it and equal sets sign
+    alike; a row of no choices signs as the empty tuple.  A round refines
+    the one before it, so it is stable once the number of blocks stays put.
+
+    Returns each state's block; blocks are numbered in the order of their
+    first states.
+    """
+    ids = {}
+    block = [ids.setdefault(row, len(ids)) for row in leaf_rows]
+    columns = list(zip(*rows))  # per symbol, every state's choices
+    while True:
+        count, ids, get = len(ids), {}, block.__getitem__
+        signatures = [
+            [tuple(map(get, c[0])) if len(c) == 1 else _set_signature(c, get) if c else () for c in column]
+            for column in columns
+        ]
+        block = [ids.setdefault(key, len(ids)) for key in zip(block, *signatures)]
+        if len(ids) == count:
+            return block
+
+
+def _set_signature(choices, block_of):
+    """The set of several choices written in blocks, or its one tuple if they all fall on one."""
+    signature = frozenset([tuple(map(block_of, tup)) for tup in choices])
+    if len(signature) == 1:
+        (signature,) = signature
+    return signature
 
 
 class Budget:

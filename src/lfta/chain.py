@@ -16,7 +16,7 @@ from .decide import DEFAULT_BUDGET, ndt_compare
 from .errors import NotAChainError, NotNormalizedError
 from .paths import path_degree
 from .recognizers import LDtRecognizer, _capped_construction, dt_to_ndt
-from .terms import PathWord, Tree
+from .terms import Tree
 
 MAX_ROUNDS_SLACK = 1
 
@@ -52,10 +52,13 @@ def max_values(rec):
 
     Round k knows the best degree over trees of height <= k; the iteration
     stabilizes within (number of states) * (number of distinct weights)
-    rounds, which is asserted.
+    rounds, which is asserted.  The lattice tables are read unchecked: the
+    weights were validated at construction, and every later value comes out
+    of the tables.
     """
     require_chain(rec.lattice)
     lat = rec.lattice
+    meet, join, top = lat._meet, lat._join, lat.top
     values, witnesses = {}, {}
     for a in rec.algebra.states:
         best_leaf = _argmax(lat, rec.alphabet.leaves, lambda x: rec.weights[x][a])
@@ -67,8 +70,10 @@ def max_values(rec):
         for f, _ in rec.alphabet.symbols:
             for a in rec.algebra.states:
                 for tup in rec.algebra.choices(f, a):
-                    candidate = lat.meet_all(values[b] for b in tup)
-                    if not lat.leq(candidate, values[a]):
+                    candidate = top
+                    for b in tup:
+                        candidate = meet[candidate][values[b]]
+                    if join[candidate][values[a]] != values[a]:
                         values[a] = candidate
                         witnesses[a] = Tree(f, [witnesses[b] for b in tup])
                         changed = True
@@ -187,23 +192,37 @@ def witness_tree(rec, path):
     pads the side branches with trees attaining each sibling's best degree;
     normalization makes those pads score no worse than the path branch.
     Once no choice is left, the rest of the path is padded with the first
-    leaf.
+    leaf.  One backward pass over the path first gives, for each position
+    and state, the best weight the rest of the path reaches from there (the
+    `path_degree_ndt` of that suffix), so the walk down reads each choice's
+    score instead of rescoring the suffix.
     """
     require_chain(rec.lattice)
     if not is_normalized(rec):
         raise NotNormalizedError("witness construction needs a normalized recognizer")
     lat = rec.lattice
+    join, bottom = lat._join, lat.bottom
     table = max_values(rec)
     filler = Tree(rec.alphabet.leaves[0])
+    letters, choices = path.letters, rec.algebra.choices
+    best = [None] * len(letters) + [rec.weights[path.leaf]]
+    for k in range(len(letters) - 1, -1, -1):
+        (f, i), below, row = letters[k], best[k + 1], {}
+        for a in rec.algebra.states:
+            value = bottom
+            for tup in choices(f, a):
+                value = join[value][below[tup[i - 1]]]
+            row[a] = value
+        best[k] = row
     descending = bool(rec.initial)
     if descending:
-        a = _argmax(lat, sorted(rec.initial, key=repr), lambda b: path_degree_ndt(rec, path, start=b))
+        a = _argmax(lat, sorted(rec.initial, key=repr), best[0].__getitem__)
     steps = []  # (symbol, path slot, children) from the root down
-    for k, (f, i) in enumerate(path.letters):
-        choices = rec.algebra.choices(f, a) if descending else ()
-        if choices:
-            rest = PathWord(path.letters[k + 1 :], path.leaf)
-            tup = _argmax(lat, sorted(choices, key=repr), lambda c: path_degree_ndt(rec, rest, start=c[i - 1]))
+    for k, (f, i) in enumerate(letters):
+        options = choices(f, a) if descending else ()
+        if options:
+            below = best[k + 1]
+            tup = _argmax(lat, sorted(options, key=repr), lambda c: below[c[i - 1]])
             steps.append((f, i, [table.witnesses[b] for b in tup]))
             a = tup[i - 1]
         else:

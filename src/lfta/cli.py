@@ -225,16 +225,18 @@ def _decide(args, ws, budget):
     raise UnknownCommandError(f"unknown decision {sub!r}")
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="lfta",
+    description="Lattice-valued fuzzy top-down tree automata toolbox.",
+)
+_PARSER.add_argument("-f", "--file", action="append", help="workspace file (repeatable)")
+_PARSER.add_argument("--budget", type=int, default=decide.DEFAULT_BUDGET, help="guard for enumerations and fixpoints")
+_PARSER.add_argument("command", help="command to run")
+_PARSER.add_argument("args", nargs=argparse.REMAINDER, help="command arguments")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="lfta",
-        description="Lattice-valued fuzzy top-down tree automata toolbox.",
-    )
-    parser.add_argument("-f", "--file", action="append", default=[], help="workspace file (repeatable)")
-    parser.add_argument("--budget", type=int, default=decide.DEFAULT_BUDGET, help="guard for enumerations and fixpoints")
-    parser.add_argument("command", help="command to run")
-    parser.add_argument("args", nargs=argparse.REMAINDER, help="command arguments")
-    ns = parser.parse_args(argv)
+    ns = _PARSER.parse_args(argv)
     try:
         ws = load(ns.file) if ns.file else Workspace()
         report, code = run(ns.command, ns.args, ws, ns.budget)

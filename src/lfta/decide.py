@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice, product as iproduct
 
-from .automata import Budget, NdtAlgebra, NdtRecognizer, saturate
+from .automata import Budget, NdtAlgebra, NdtRecognizer, refine, saturate
 from .errors import (
     ForeignElementError,
     NonDistributiveLatticeError,
@@ -294,28 +294,49 @@ def compare(f_rec, g_rec, budget=DEFAULT_BUDGET):
     return Comparison(inc_w is None, eq_w is None, dis_w is None, inc_w, eq_w, dis_w)
 
 
-def _joint_vectors(nf, ng, budget):
-    """The joint degree vectors of two NDT recognizers, as saturation facts in discovery order.
+def _block_quotient(nf, ng):
+    """The bisimulation blocks of the disjoint union of two NDT recognizers.
 
-    A vector holds a tree's degree from each state of `nf`, then from each
-    state of `ng`.  Each (symbol, state)'s choices are compiled once into
-    tuples of vector positions, and the tables are read unchecked: the leaf
-    weights were validated at construction and every later value comes out
-    of the tables.
+    The states of `nf` are numbered first, then those of `ng`, and
+    `automata.refine` partitions them.  Returns the block of each numbered
+    state, and for each block its row of leaf weights and, per symbol, its
+    choices as tuples of blocks, each listed once.  Both are read off the
+    block's first state: states in one block have the same leaf row and the
+    same set of choices in blocks.
     """
-    lat = nf.lattice
-    meet, join, bottom, top = lat._meet, lat._join, lat.bottom, lat.top
-    sides = ((nf, 0), (ng, len(nf.algebra.states)))
+    symbols, leaves = [f for f, _ in nf.alphabet.symbols], nf.alphabet.leaves
+    leaf_rows, rows = [], []
+    for rec in (nf, ng):
+        states = rec.algebra.states
+        number = dict(zip(states, range(len(rows), len(rows) + len(states)))).__getitem__
+        leaf_rows += zip(*[[rec.weights[x][a] for a in states] for x in leaves])
+        tables = [rec.algebra.transitions[f] for f in symbols]
+        rows += [tuple(tuple(tuple(map(number, tup)) for tup in table[a]) for table in tables) for a in states]
+    block = refine(leaf_rows, rows)
+    first = {}
+    for i, k in enumerate(block):
+        first.setdefault(k, i)  # blocks are numbered in the order of their first states
+    get = block.__getitem__
+    return block, [leaf_rows[i] for i in first.values()], [
+        tuple(tuple(dict.fromkeys(tuple(map(get, tup)) for tup in choices)) for choices in rows[i])
+        for i in first.values()
+    ]
 
-    def compile_symbol(f):
-        compiled = []
-        for rec, base in sides:
-            position = {a: base + i for i, a in enumerate(rec.algebra.states)}
-            for a in rec.algebra.states:
-                compiled.append(tuple(tuple(position[b] for b in tup) for tup in rec.algebra.choices(f, a)))
-        return tuple(compiled)
+
+def _joint_vectors(lattice, alphabet, leaf_rows, rows, budget):
+    """The joint degree vectors of a block quotient, as saturation facts in discovery order.
+
+    `leaf_rows` and `rows` are those of `_block_quotient`.  A vector holds a
+    tree's degree from each block.  Every state in a block has the block's
+    degree, so these vectors are those over the states, one for one, found
+    in the same order from the same rule combinations.  The lattice tables
+    are read unchecked: the leaf weights were validated at construction and
+    every later value comes out of the tables.
+    """
+    meet, join, bottom, top = lattice._meet, lattice._join, lattice.bottom, lattice.top
 
     def vector_for(compiled, child_vectors):
+        # bottom absorbs meets and top absorbs joins, as in the evaluation kernel
         out = []
         for choices in compiled:
             acc = bottom
@@ -323,17 +344,19 @@ def _joint_vectors(nf, ng, budget):
                 v = top
                 for vec, k in zip(child_vectors, tup):
                     v = meet[v][vec[k]]
-                acc = join[acc][v]
+                    if v == bottom:
+                        break
+                else:
+                    acc = join[acc][v]
+                    if acc == top:
+                        break
             out.append(acc)
         return tuple(out)
 
-    seeds = [
-        (None, tuple(rec.weights[x][a] for rec, _ in sides for a in rec.algebra.states), Tree(x))
-        for x in nf.alphabet.leaves
-    ]
+    seeds = [(None, tuple(row[i] for row in leaf_rows), Tree(x)) for i, x in enumerate(alphabet.leaves)]
     rules = [
-        (None, f, (None,) * m, lambda vectors, compiled=compile_symbol(f): vector_for(compiled, vectors))
-        for f, m in nf.alphabet.symbols
+        (None, f, (None,) * m, lambda vectors, compiled=tuple(row[s] for row in rows): vector_for(compiled, vectors))
+        for s, (f, m) in enumerate(alphabet.symbols)
     ]
     return saturate(seeds, rules, Budget(budget))
 
@@ -341,25 +364,34 @@ def _joint_vectors(nf, ng, budget):
 def ndt_compare(nf, ng, budget=DEFAULT_BUDGET):
     """Equivalence of two NDT recognizers, with a counterexample if distinct.
 
-    Stops at the first joint vector, in discovery order, whose two initial
+    States in one bisimulation block give every tree the same degree, so a
+    recognizer's degree is the join of its initial blocks' degrees.  When
+    both recognizers start from the same set of blocks they are equal, and
+    no vector is built.  Otherwise the block vectors are saturated, and the
+    answer stops at the first one, in discovery order, whose two initial
     joins differ; only equal recognizers saturate every vector.
     """
     check_same_alphabet(nf, ng)
     check_same_lattice(nf, ng)
-    if not nf.lattice.is_distributive():
-        raise NonDistributiveLatticeError("NDT equivalence needs a distributive lattice")
     lat = nf.lattice
-    join = lat._join
+    if not lat.is_distributive():
+        raise NonDistributiveLatticeError("NDT equivalence needs a distributive lattice")
+    join, bottom = lat._join, lat.bottom
+
+    def joined(values):
+        acc = bottom
+        for value in values:
+            acc = join[acc][value]
+        return acc
+
+    block, leaf_rows, rows = _block_quotient(nf, ng)
     n = len(nf.algebra.states)
-    left = [i for i, a in enumerate(nf.algebra.states) if a in nf.initial]
-    right = [n + j for j, b in enumerate(ng.algebra.states) if b in ng.initial]
-    for _, vec, witness in _joint_vectors(nf, ng, budget):
-        u = v = lat.bottom
-        for i in left:
-            u = join[u][vec[i]]
-        for j in right:
-            v = join[v][vec[j]]
-        if u != v:
+    left = {block[i] for i, a in enumerate(nf.algebra.states) if a in nf.initial}
+    right = {block[n + j] for j, b in enumerate(ng.algebra.states) if b in ng.initial}
+    if left == right:
+        return True, None
+    for _, vec, witness in _joint_vectors(lat, nf.alphabet, leaf_rows, rows, budget):
+        if joined(vec[i] for i in left) != joined(vec[j] for j in right):
             return False, witness
     return True, None
 

@@ -9,17 +9,23 @@ the crisp NDT acceptance walk, kept as the reference for
 witness) items, kept as the reference for the values-only one in
 `lfta.automata.saturate`, the character-at-a-time workspace tokenizer,
 kept as the reference for the regular-expression one in `lfta.workspace`,
-and the lattice construction that scans the bounds of every pair and the
+the lattice construction that scans the bounds of every pair and the
 distributivity test over all triples, kept as references for the bit-row
-tables and the join-irreducible test in `lfta.lattice`.
+tables and the join-irreducible test in `lfta.lattice`, the NDT
+equivalence that saturates every joint vector over the states before it
+scans them, kept as the reference for the block quotient in
+`lfta.decide.ndt_compare`, and the path witness walk that rescores the
+rest of the path at every step, kept as the reference for the backward pass
+in `lfta.chain.witness_tree`.
 """
 
 import random
 from itertools import product as iproduct
 from math import prod
 
+from lfta import chain as chain_ops
 from lfta import decide, fixtures
-from lfta.automata import Budget, DtAlgebra, NdtAlgebra
+from lfta.automata import Budget, DtAlgebra, NdtAlgebra, saturate
 from lfta.errors import CycleInOrderError, ForeignElementError, MissingBoundError, NotALatticeError
 from lfta.lattice import validate
 from lfta.recognizers import (
@@ -29,7 +35,7 @@ from lfta.recognizers import (
     check_same_alphabet,
     check_same_lattice,
 )
-from lfta.terms import Tree
+from lfta.terms import PathWord, Tree
 from lfta.transforms import _dt_product_algebra
 
 
@@ -209,6 +215,72 @@ def compare_by_value_pairs(f_rec, g_rec):
         if disjoint and lat.meet(u, v) != lat.bottom:
             disjoint, dis_w = False, witness
     return decide.Comparison(included, equivalent, disjoint, inc_w, eq_w, dis_w)
+
+
+def ndt_compare_by_state_vectors(nf, ng, budget=None):
+    """`lfta.decide.ndt_compare` as it was before its block quotient: every
+    joint vector over the states of `nf` then `ng` is saturated first, with
+    the checked lattice operations, and then scanned for the first one whose
+    initial joins differ.  `budget` is a limit or None."""
+    lat = nf.lattice
+    named = [("L", nf, a) for a in nf.algebra.states] + [("R", ng, b) for b in ng.algebra.states]
+    position = {(side, a): i for i, (side, _, a) in enumerate(named)}
+
+    def vector_for(f, children):
+        out = []
+        for side, rec, a in named:
+            acc = lat.bottom
+            for tup in rec.algebra.choices(f, a):
+                value = lat.top
+                for child, b in zip(children, tup):
+                    value = lat.meet(value, child[position[(side, b)]])
+                acc = lat.join(acc, value)
+            out.append(acc)
+        return tuple(out)
+
+    seeds = [(None, tuple(rec.weights[x][a] for _, rec, a in named), Tree(x)) for x in nf.alphabet.leaves]
+    rules = [
+        (None, f, (None,) * m, lambda children, f=f: vector_for(f, children)) for f, m in nf.alphabet.symbols
+    ]
+    facts = list(saturate(seeds, rules, Budget(budget)))
+    for _, vector, witness in facts:
+        left = lat.join_all([lat.bottom] + [vector[position[("L", a)]] for a in nf.initial])
+        right = lat.join_all([lat.bottom] + [vector[position[("R", b)]] for b in ng.initial])
+        if left != right:
+            return False, witness
+    return True, None
+
+
+def witness_tree_by_rescans(rec, path):
+    """`lfta.chain.witness_tree` as it was before its backward pass: each
+    step scores every choice by `path_degree_ndt` over the rest of the path,
+    which takes time quadratic in the path length."""
+    lat = rec.lattice
+    table = chain_ops.max_values(rec)
+    filler = Tree(rec.alphabet.leaves[0])
+    descending = bool(rec.initial)
+    if descending:
+        a = chain_ops._argmax(
+            lat, sorted(rec.initial, key=repr), lambda b: chain_ops.path_degree_ndt(rec, path, start=b)
+        )
+    steps = []
+    for k, (f, i) in enumerate(path.letters):
+        choices = rec.algebra.choices(f, a) if descending else ()
+        if choices:
+            rest = PathWord(path.letters[k + 1 :], path.leaf)
+            tup = chain_ops._argmax(
+                lat, sorted(choices, key=repr), lambda c: chain_ops.path_degree_ndt(rec, rest, start=c[i - 1])
+            )
+            steps.append((f, i, [table.witnesses[b] for b in tup]))
+            a = tup[i - 1]
+        else:
+            descending = False
+            steps.append((f, i, [filler] * rec.alphabet.arity(f)))
+    t = Tree(path.leaf)
+    for f, i, children in reversed(steps):
+        children[i - 1] = t
+        t = Tree(f, children)
+    return t
 
 
 # -- evaluation reference ---------------------------------------------------

@@ -5,9 +5,9 @@ from lfta import decide, fixtures, paths
 from lfta.errors import NotAChainError, NotNormalizedError
 from lfta.oracle import enum_trees, eval_reference_map, path_image, FiniteFuzzyLanguage
 from lfta.recognizers import dt_to_ndt, from_finite_language
-from lfta.terms import delta, parse_path, parse_tree
+from lfta.terms import PathWord, delta, parse_path, parse_tree
 
-from helpers import random_dt, random_ndt, seeded
+from helpers import random_dt, random_ndt, seeded, witness_tree_by_rescans
 
 from test_paths import all_paths
 
@@ -181,6 +181,40 @@ def test_witness_tree_realizes_path_degree():
             w = chain_ops.witness_tree(rec, r)
             assert r in delta(w)
             assert rec.degree(w) == chain_ops.path_degree_ndt(rec, r)
+
+
+def test_witness_tree_matches_the_rescanning_walk():
+    # the backward pass picks the same choices, with the same tie-breaks
+    rng = seeded(109)
+    for n in range(16):
+        lattice = fixtures.chain4() if n % 2 else fixtures.chain3()
+        alphabet = fixtures.alphabet_mixed() if n % 4 < 2 else fixtures.alphabet_pair()
+        rec = chain_ops.normalize(random_ndt(rng, lattice, alphabet, max_states=3))
+        for r in all_paths(alphabet, 3)[:60]:
+            assert chain_ops.witness_tree(rec, r) == witness_tree_by_rescans(rec, r)
+
+
+def _follows(t, path):
+    """Whether `path` is a path of `t`, by one walk down it."""
+    for f, i in path.letters:
+        if t.symbol != f or len(t.children) < i:
+            return False
+        t = t.children[i - 1]
+    return t.is_leaf and t.symbol == path.leaf
+
+
+def test_witness_tree_on_a_path_of_2000_letters():
+    # a 5-state normalized DT view: every state has a choice, so the walk
+    # follows the whole path
+    rng = seeded(119)
+    alphabet = fixtures.alphabet_mixed()
+    rec = chain_ops.normalize(dt_to_ndt(random_dt(rng, fixtures.chain4(), alphabet, max_states=4)))
+    assert len(rec.algebra.states) == 5
+    r = PathWord(tuple(rng.choice(alphabet.path_letters()) for _ in range(2000)), "x")
+    w = chain_ops.witness_tree(rec, r)
+    assert _follows(w, r)
+    # compared as text: `Tree.__eq__` recurses, and this tree is 2,000 high
+    assert str(w) == str(witness_tree_by_rescans(rec, r))
 
 
 def test_subset_of_normalized_computes_path_closure():

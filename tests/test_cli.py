@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from lfta import cli
 from lfta.cli import main, run
 from lfta.errors import ArityMismatchError, UnknownCommandError, ValidationError
 from lfta.terms import parse_tree
@@ -182,9 +183,11 @@ def test_level_set_output_reloads():
 
 
 def test_budget_flag_guards_fixpoints():
-    # an absurdly small budget trips the guard and exits 2
-    assert main(["-f", GOLDENS, "--budget", "1", "decide", "ndt-equal", "UnionPair", "UnionPair"]) == 2
-    assert main(["-f", GOLDENS, "--budget", "1000000", "decide", "ndt-equal", "UnionPair", "UnionPair"]) == 0
+    # an absurdly small budget trips the guard and exits 2; the two dead
+    # branches are equal, but only the vector fixpoint can tell
+    pair = ["decide", "ndt-equal", "DeadBranch", "DeadBranchMirror"]
+    assert main(["-f", GOLDENS, "--budget", "1", *pair]) == 2
+    assert main(["-f", GOLDENS, "--budget", "1000000", *pair]) == 0
 
 
 def test_budget_flag_reaches_dt_recognizable():
@@ -234,6 +237,21 @@ def test_load_errors_name_their_file(capsys):
     assert capsys.readouterr().err == f"error: {HOMS}: unknown alphabet 'Pair'\n"
     assert main(["-f", GOLDENS, "-f", HOMS, "-f", GOLDENS, "range", "MatchedLeaves"]) == 2
     assert capsys.readouterr().err == f"error: {GOLDENS}: duplicate lattice name 'B2'\n"
+
+
+def test_main_calls_share_no_file_list(monkeypatch, capsys):
+    # one parser serves every call: each call loads exactly its own -f files
+    loaded = []
+    real_load = cli.load
+    monkeypatch.setattr(cli, "load", lambda files: loaded.append(list(files)) or real_load(files))
+    assert main(["-f", GOLDENS, "-f", HOMS, "range", "MatchedLeaves"]) == 0
+    assert main(["-f", HOMS, "range", "MatchedLeaves"]) == 2
+    assert main(["-f", GOLDENS, "range", "MatchedLeaves"]) == 0
+    assert main(["range", "MatchedLeaves"]) == 2
+    assert loaded == [[GOLDENS, HOMS], [HOMS], [GOLDENS]]
+    out, err = capsys.readouterr()
+    assert out == "0\nc\nd\n" * 2
+    assert err == f"error: {HOMS}: unknown alphabet 'Pair'\nerror: unknown recognizer 'MatchedLeaves'\n"
 
 
 @pytest.mark.parametrize("make", ["missing", "directory", "not_utf8"])

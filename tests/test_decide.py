@@ -15,7 +15,7 @@ from lfta.errors import (
 from lfta.lattice import product
 from lfta.oracle import enum_trees, eval_reference, eval_reference_map
 from lfta.recognizers import LDtRecognizer, LNdtRecognizer, dt_to_ndt
-from lfta.terms import RankedAlphabet, Tree, parse_tree
+from lfta.terms import RankedAlphabet, parse_tree
 from lfta.workspace import load
 
 from helpers import (
@@ -25,6 +25,7 @@ from helpers import (
     lattice_menu,
     m3,
     n5,
+    ndt_compare_by_state_vectors,
     random_dt,
     random_ndt,
     saturate_by_items,
@@ -374,7 +375,9 @@ def test_saturation_matches_the_items_reference_on_every_rule_kind(inputs):
     kinds = {
         "range": lambda: decide.value_range(dt),
         "cuts": lambda: decide.compare(dt, other),
-        "vectors": lambda: decide._joint_vectors(nd, dt_to_ndt(other), None),
+        "vectors": lambda: decide._joint_vectors(
+            nd.lattice, nd.alphabet, *decide._block_quotient(nd, dt_to_ndt(other))[1:], None
+        ),
         "nonempty": crisp.nonempty,
     }
     for kind, call in kinds.items():
@@ -515,12 +518,18 @@ def test_ndt_equivalent_needs_distributive():
 
 
 def test_ndt_compare_budget_counts_combinations():
-    # UnionPair against itself collects 4 joint vectors from 16 rule combinations
-    union = load(["goldens/fixtures.lfta"]).recognizer("UnionPair")
-    for budget in (4, 15):
+    # DeadBranch and its mirror both score 0 everywhere, but their initial
+    # states fall in different blocks; their 2 joint vectors come from 4
+    # rule combinations, as over the states
+    ws = load(["goldens/fixtures.lfta"])
+    left, right = dt_to_ndt(ws.recognizer("DeadBranch")), dt_to_ndt(ws.recognizer("DeadBranchMirror"))
+    for budget in (1, 3):
         with pytest.raises(BudgetExceededError):
-            decide.ndt_compare(union, union, budget=budget)
-    assert decide.ndt_compare(union, union, budget=16) == (True, None)
+            decide.ndt_compare(left, right, budget=budget)
+        with pytest.raises(BudgetExceededError):
+            ndt_compare_by_state_vectors(left, right, budget=budget)
+    assert decide.ndt_compare(left, right, budget=4) == (True, None)
+    assert ndt_compare_by_state_vectors(left, right, budget=4) == (True, None)
 
 
 def test_ndt_compare_answers_unequal_pairs_within_budget():
@@ -544,37 +553,6 @@ def test_ndt_compare_answers_unequal_pairs_within_budget():
         assert eval_reference(closure, witness) != eval_reference(normalized, witness)
 
 
-def _ndt_compare_after_full_saturation(nf, ng):
-    """ndt_compare's answer by the definition: every joint vector first, then a scan."""
-    lat = nf.lattice
-    named = [("L", nf, a) for a in nf.algebra.states] + [("R", ng, b) for b in ng.algebra.states]
-    position = {(side, a): i for i, (side, _, a) in enumerate(named)}
-
-    def vector_for(f, children):
-        out = []
-        for side, rec, a in named:
-            acc = lat.bottom
-            for tup in rec.algebra.choices(f, a):
-                value = lat.top
-                for child, b in zip(children, tup):
-                    value = lat.meet(value, child[position[(side, b)]])
-                acc = lat.join(acc, value)
-            out.append(acc)
-        return tuple(out)
-
-    seeds = [(None, tuple(rec.weights[x][a] for _, rec, a in named), Tree(x)) for x in nf.alphabet.leaves]
-    rules = [
-        (None, f, (None,) * m, lambda children, f=f: vector_for(f, children)) for f, m in nf.alphabet.symbols
-    ]
-    facts = list(saturate(seeds, rules))
-    for _, vector, witness in facts:
-        left = lat.join_all([lat.bottom] + [vector[position[("L", a)]] for a in nf.initial])
-        right = lat.join_all([lat.bottom] + [vector[position[("R", b)]] for b in ng.initial])
-        if left != right:
-            return False, witness
-    return True, None
-
-
 def _rewired(rng, rec):
     """`rec` with fresh random choices: the same leaf degrees, so witnesses are inner trees."""
     states = rec.algebra.states
@@ -596,7 +574,7 @@ def test_ndt_compare_witness_is_first_disagreeing_vector():
             f_rec = random_ndt(rng, lattice, alphabet, max_states=3)
             g_rec = _rewired(rng, f_rec) if n % 2 else random_ndt(rng, lattice, alphabet, max_states=3)
             got = decide.ndt_compare(f_rec, g_rec)
-            assert got == _ndt_compare_after_full_saturation(f_rec, g_rec)
+            assert got == ndt_compare_by_state_vectors(f_rec, g_rec)
             left, right = eval_reference_map(f_rec, pool), eval_reference_map(g_rec, pool)
             if any(left[t] != right[t] for t in pool):
                 assert not got[0]
@@ -616,6 +594,113 @@ def test_ndt_counterexample():
             found += 1
             assert f_rec.degree(witness) != g_rec.degree(witness)
     assert found > 0
+
+
+BLOCK_LATTICES = (fixtures.b2(), fixtures.chain4(), fixtures.diamond(), n5(), m3())
+BLOCK_ALPHABETS = (fixtures.alphabet_pair(), fixtures.alphabet_solo(), fixtures.alphabet_mixed())
+BLOCK_POOLS = tuple(enum_trees(alphabet, 2) for alphabet in BLOCK_ALPHABETS)
+
+
+@st.composite
+def _split_copy(draw, rec):
+    """`rec` with each state `a` split into (a, 0) and (a, 1), and each child
+    of each choice sent to either copy of its state: both copies are
+    bisimilar to `a`."""
+    states = [(a, k) for a in rec.algebra.states for k in (0, 1)]
+    copy = st.sampled_from((0, 1))
+    transitions = {
+        f: {(a, k): [tuple((b, draw(copy)) for b in tup) for tup in rec.algebra.choices(f, a)] for a, k in states}
+        for f, _ in rec.alphabet.symbols
+    }
+    weights = {x: {(a, k): row[a] for a, k in states} for x, row in rec.weights.items()}
+    initial = [(a, draw(copy)) for a in sorted(rec.initial)]
+    return LNdtRecognizer(rec.lattice, NdtAlgebra(rec.alphabet, states, transitions), initial, weights)
+
+
+@st.composite
+def _union_pairs(draw):
+    """(nf, ng, alphabet index, kind): ng is nf itself, a split copy of it, or another NDT."""
+    lattice, index = draw(st.sampled_from(BLOCK_LATTICES)), draw(st.integers(0, len(BLOCK_ALPHABETS) - 1))
+    nf = draw(_ndts(lattice, BLOCK_ALPHABETS[index]))
+    kind = draw(st.sampled_from(("self", "split", "other")))
+    if kind == "self":
+        ng = nf
+    elif kind == "split":
+        ng = draw(_split_copy(nf))
+    else:
+        ng = draw(_ndts(lattice, BLOCK_ALPHABETS[index]))
+    return nf, ng, index, kind
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_union_pairs())
+def test_states_in_one_block_score_every_tree_alike(case):
+    nf, ng, index, kind = case
+    block, _, _ = decide._block_quotient(nf, ng)
+    numbered = [(nf, a) for a in nf.algebra.states] + [(ng, b) for b in ng.algebra.states]
+    scores = {}
+    for (rec, a), k in zip(numbered, block):
+        single = LNdtRecognizer(rec.lattice, rec.algebra, [a], rec.weights)
+        row = tuple(eval_reference(single, t) for t in BLOCK_POOLS[index])
+        assert scores.setdefault(k, row) == row
+    if kind != "other":
+        # the partition is the coarsest: a state and its copies share a block
+        n = len(nf.algebra.states)
+        place = {b: block[n + j] for j, b in enumerate(ng.algebra.states)}
+        for i, a in enumerate(nf.algebra.states):
+            copies = [a] if kind == "self" else [(a, 0), (a, 1)]
+            assert {place[c] for c in copies} == {block[i]}
+
+
+def test_ndt_compare_matches_the_state_vector_reference():
+    # 240 pairs: self pairs, nd against normalize(nd), the path-closure DT
+    # view against normalize(nd), and random pairs; the blocks answer 133 of
+    # the equal pairs and the vectors 39, and 68 pairs are unequal
+    alphabets = (fixtures.alphabet_pair(), fixtures.alphabet_mixed())
+    rng = seeded(113)
+    routes = {"blocks": 0, "vectors": 0, "unequal": 0}
+    for n in range(60):
+        lattice = (fixtures.b2(), fixtures.chain3(), fixtures.chain4())[n % 3]
+        alphabet = alphabets[n // 3 % 2]
+        nd = random_ndt(rng, lattice, alphabet, max_states=3)
+        normalized = chain_ops.normalize(nd)
+        closure = dt_to_ndt(chain_ops.path_closure_recognizer(nd))
+        other = random_ndt(rng, lattice, alphabet, max_states=3)
+        for nf, ng in ((nd, nd), (nd, normalized), (closure, normalized), (nd, other)):
+            got = decide.ndt_compare(nf, ng)
+            assert got == ndt_compare_by_state_vectors(nf, ng)
+            equal, witness = got
+            if not equal:
+                routes["unequal"] += 1
+                assert eval_reference(nf, witness) != eval_reference(ng, witness)
+                continue
+            try:  # an equal pair spends no combination only if its blocks answer
+                decide.ndt_compare(nf, ng, budget=0)
+                routes["blocks"] += 1
+            except BudgetExceededError:
+                routes["vectors"] += 1
+    assert min(routes.values()) > 0, routes
+
+
+def test_ndt_compare_answers_the_chain8_self_pair_from_its_blocks():
+    # a 4-state chain8 DT view against itself: the state vectors pass 10**4
+    # combinations (the default budget of 10**6 ran out after seconds), and
+    # the blocks answer without a single one
+    gen = _perfbench_gen()
+    r = dt_to_ndt(gen.random_dt(seeded(11), gen.lattices()["chain8"], gen.alphabets()["f2g1"], 4))
+    assert decide.ndt_compare(r, r) == (True, None)
+    assert decide.ndt_compare(r, r, budget=0) == (True, None)
+    with pytest.raises(BudgetExceededError):
+        ndt_compare_by_state_vectors(r, r, budget=10**4)
+
+
+def test_is_dt_recognizable_answers_a_1968_state_closure_from_its_blocks():
+    # the path closure is path-closed; over the states, its comparison with
+    # its normal form passed 2*10**4 combinations after seconds
+    nd = random_ndt(seeded(2006), fixtures.chain4(), fixtures.alphabet_mixed(), max_states=10)
+    closure = dt_to_ndt(chain_ops.path_closure_recognizer(nd))
+    assert len(closure.algebra.states) == 1968
+    assert chain_ops.is_dt_recognizable(closure, budget=0)
 
 
 def test_level_set_graded_square():
