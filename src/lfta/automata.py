@@ -17,11 +17,15 @@ from .lattice import chain
 from .terms import Tree, _fold
 
 
-def _is_single_state(start, states):
-    try:
-        return start in set(states)
-    except TypeError:  # unhashable: must be a collection of states
-        return False
+def _check_states(states):
+    """The state list as a tuple, and its set; rejects a repeated state and an empty list."""
+    states = tuple(states)
+    state_set = set(states)
+    if len(state_set) != len(states):
+        raise ValidationError("duplicate state")
+    if not states:
+        raise ValidationError("empty state set")
+    return states, state_set
 
 
 class DtAlgebra:
@@ -30,12 +34,7 @@ class DtAlgebra:
     __slots__ = ("alphabet", "states", "transitions")
 
     def __init__(self, alphabet, states, transitions):
-        states = tuple(states)
-        state_set = set(states)
-        if len(state_set) != len(states):
-            raise ValidationError("duplicate state")
-        if not states:
-            raise ValidationError("empty state set")
+        states, state_set = _check_states(states)
         table = {}
         for f, m in alphabet.symbols:
             rows = transitions.get(f, {})
@@ -96,12 +95,7 @@ class NdtAlgebra:
     __slots__ = ("alphabet", "states", "transitions")
 
     def __init__(self, alphabet, states, transitions):
-        states = tuple(states)
-        state_set = set(states)
-        if len(state_set) != len(states):
-            raise ValidationError("duplicate state")
-        if not states:
-            raise ValidationError("empty state set")
+        states, state_set = _check_states(states)
         table = {}
         for f, m in alphabet.symbols:
             rows = transitions.get(f, {})
@@ -126,11 +120,8 @@ class NdtAlgebra:
         return self.transitions[symbol][state]
 
     def path_states(self, start, letters):
-        """All states reachable at the end of the given path letters.
-
-        `start` may be a single state or an iterable of states.
-        """
-        current = {start} if _is_single_state(start, self.states) else set(start)
+        """All states reachable from the state `start` at the end of the given path letters."""
+        current = {start}
         for f, i in letters:
             nxt = set()
             for a in current:
@@ -340,6 +331,21 @@ def saturate(seeds, rules, budget=None):
 _B2 = chain(["0", "1"])  # crisp acceptance is a degree over the two-element chain
 
 
+def _check_initial(algebra, initial):
+    """`initial`, which must be one of the algebra's states."""
+    if initial not in set(algebra.states):
+        raise ValidationError(f"unknown initial state {initial!r}")
+    return initial
+
+
+def _check_initial_set(algebra, initial):
+    """`initial` as a frozenset, which must hold only the algebra's states."""
+    initial = frozenset(initial)
+    if not initial <= set(algebra.states):
+        raise ValidationError("unknown initial state")
+    return initial
+
+
 def _check_finals(algebra, final):
     """The final state set of each leaf, checked against the algebra's states."""
     table = {}
@@ -358,10 +364,8 @@ class DtRecognizer:
     __slots__ = ("algebra", "initial", "final")
 
     def __init__(self, algebra, initial, final):
-        if initial not in set(algebra.states):
-            raise ValidationError(f"unknown initial state {initial!r}")
         self.algebra = algebra
-        self.initial = initial
+        self.initial = _check_initial(algebra, initial)
         self.final = _check_finals(algebra, final)
 
     def accepts(self, t, start=None):
@@ -375,11 +379,8 @@ class NdtRecognizer:
     __slots__ = ("algebra", "initial", "final")
 
     def __init__(self, algebra, initial, final):
-        initial = frozenset(initial)
-        if not initial <= set(algebra.states):
-            raise ValidationError("unknown initial state")
         self.algebra = algebra
-        self.initial = initial
+        self.initial = _check_initial_set(algebra, initial)
         self.final = _check_finals(algebra, final)
 
     def accepts(self, t):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import DtAlgebra, _is_single_state, subset_algebra
+from .automata import DtAlgebra, subset_algebra
 from .decide import DEFAULT_BUDGET, ndt_compare
 from .errors import NotAChainError, NotNormalizedError
 from .paths import path_degree
@@ -134,14 +134,12 @@ def normalize_dt(rec):
 
 
 def path_degree_ndt(rec, path, start=None):
-    """Best final weight over all states the path can lead to (0 if none)."""
+    """Best final weight over all states the path can lead to (0 if none),
+    from the state `start` or, when it is None, from every initial state."""
     require_chain(rec.lattice)
     lat = rec.lattice
-    sources = rec.initial if start is None else (
-        {start} if _is_single_state(start, rec.algebra.states) else set(start)
-    )
     best = lat.bottom
-    for a in sources:
+    for a in rec.initial if start is None else (start,):
         for b in rec.algebra.path_states(a, path.letters):
             best = lat.join(best, rec.weights[path.leaf][b])
     return best

@@ -77,7 +77,15 @@ def _render_recognizer(ws, name, rec):
 
 
 def run(command, args, ws, budget=decide.DEFAULT_BUDGET):
-    """Execute one command; returns (report text, exit code)."""
+    """Execute one command; returns (report text, exit code).
+
+    `--as NAME` anywhere in `args` names the recognizer a command writes and
+    is no operand.
+    """
+    name = None
+    if "--as" in args:
+        at = args.index("--as")
+        name, args = args[at + 1], args[:at] + args[at + 2 :]
     if command == "eval":
         rec = _fuzzy(ws, args[0])
         t = _tree_arg(ws, rec, args[1])
@@ -99,7 +107,7 @@ def run(command, args, ws, budget=decide.DEFAULT_BUDGET):
         lines = [f"{r} : {paths.path_degree(rec, r)}" for r in tree_paths(t)]
         return "\n".join(lines), 0
     if command == "transform":
-        return _transform(args, ws)
+        return _transform(args, ws, name or "out")
     if command == "decide":
         return _decide(args, ws, budget)
     if command == "normalize":
@@ -109,19 +117,19 @@ def run(command, args, ws, budget=decide.DEFAULT_BUDGET):
             if isinstance(rec, LDtRecognizer)
             else chain_ops.normalize(rec)
         )
-        return _render_recognizer(ws, _out_name(args, f"{args[0]}_norm"), result), 0
+        return _render_recognizer(ws, name or f"{args[0]}_norm", result), 0
     if command == "subset":
         rec = _fuzzy(ws, args[0], (LNdtRecognizer,))
-        return _render_recognizer(ws, _out_name(args, f"{args[0]}_subset"), chain_ops.subset_recognizer(rec)), 0
+        return _render_recognizer(ws, name or f"{args[0]}_subset", chain_ops.subset_recognizer(rec)), 0
     if command == "path-closure":
         rec = _ndt_view(_fuzzy(ws, args[0]))
         result = chain_ops.path_closure_recognizer(rec)
-        return _render_recognizer(ws, _out_name(args, f"{args[0]}_closure"), result), 0
+        return _render_recognizer(ws, name or f"{args[0]}_closure", result), 0
     if command == "level-set":
         rec = _fuzzy(ws, args[0], (LDtRecognizer,))
         value = args[1]
         result = decide.level_set(rec, value)
-        report = _render_recognizer(ws, _out_name(args, f"{args[0]}_level"), result)
+        report = _render_recognizer(ws, name or f"{args[0]}_level", result)
         if not decide.level_in_domain(rec, value):
             report = f"# warning: {value} is outside the attainable meet-closure; empty recognizer\n" + report
         return report, 0
@@ -148,17 +156,12 @@ def run(command, args, ws, budget=decide.DEFAULT_BUDGET):
     raise UnknownCommandError(f"unknown command {command!r}")
 
 
-def _out_name(args, default):
-    return args[args.index("--as") + 1] if "--as" in args else default
-
-
-def _transform(args, ws):
+def _transform(args, ws, name):
     sub, rest = args[0], args[1:]
-    name = _out_name(rest, "out")
     if sub == "intersect":
         result = transforms.intersect(_fuzzy(ws, rest[0], (LDtRecognizer,)), _fuzzy(ws, rest[1], (LDtRecognizer,)))
     elif sub == "topcat":
-        result = transforms.top_concat(rest[0], [_fuzzy(ws, n, (LDtRecognizer,)) for n in _plain(rest[1:])])
+        result = transforms.top_concat(rest[0], [_fuzzy(ws, n, (LDtRecognizer,)) for n in rest[1:]])
     elif sub == "quotient":
         rec = _fuzzy(ws, rest[0], (LDtRecognizer,))
         result = transforms.context_quotient(rec, _context_arg(rec, rest[1]))
@@ -184,20 +187,6 @@ def _transform(args, ws):
     else:
         raise UnknownCommandError(f"unknown transform {sub!r}")
     return _render_recognizer(ws, name, result), 0
-
-
-def _plain(tokens):
-    out = []
-    skip = False
-    for tok in tokens:
-        if skip:
-            skip = False
-            continue
-        if tok == "--as":
-            skip = True
-            continue
-        out.append(tok)
-    return out
 
 
 def _decide(args, ws, budget):

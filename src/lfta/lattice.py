@@ -8,6 +8,7 @@ whose carrier is exactly the labels mentioned.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
@@ -233,21 +234,14 @@ class Lattice:
     def join_irreducibles(self):
         """The elements other than bottom that are not the join of the elements strictly below them.
 
-        Every element is the join of the join-irreducibles below it, so
-        `u <= v` holds exactly when each of them below `u` is below `v`.
+        In a finite lattice these are the elements with exactly one lower
+        cover.  Every element is the join of the join-irreducibles below it,
+        so `u <= v` holds exactly when each of them below `u` is below `v`.
         Computed once, in declaration order.
         """
         if self._join_irreducibles is None:
-            leq, join = self._leq, self._join
-            found = []
-            for i, e in enumerate(self.elements):
-                below = self.bottom
-                for k, x in enumerate(self.elements):
-                    if k != i and leq[k][i]:
-                        below = join[below][x]
-                if below != e:
-                    found.append(e)
-            self._join_irreducibles = tuple(found)
+            lower_covers = Counter(b for _, b in self.covers())
+            self._join_irreducibles = tuple(e for e in self.elements if lower_covers[e] == 1)
         return self._join_irreducibles
 
     def covers(self):

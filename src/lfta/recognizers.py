@@ -8,7 +8,7 @@ can always be rewritten into the simple form when the lattice is distributive.
 
 from __future__ import annotations
 
-from .automata import NdtAlgebra, _evaluate, _is_single_state, explore
+from .automata import NdtAlgebra, _check_initial, _check_initial_set, _evaluate, explore
 from .errors import (
     AlphabetMismatchError,
     LatticeMismatchError,
@@ -33,22 +33,20 @@ def _check_weights(lattice, alphabet, states, weights):
     return table
 
 
-class LDtRecognizer:
-    """Deterministic recognizer assigning each tree a lattice degree.
+class _WeightedRecognizer:
+    """An algebra, its start and its final weights: what the DT and NDT recognizers share.
 
-    The degree of a tree is the meet of the final weights of the leaf/state
-    pairs its unique run produces; a leaf alone scores its own weight at the
-    initial state.
+    A start is one state: `degree` and `degree_map` read `start=None` as the
+    initial state, or the initial set of an NDT recognizer.  The subclass
+    checks its kind of initial argument with `_checked_initial`.
     """
 
     __slots__ = ("lattice", "algebra", "initial", "weights")
 
     def __init__(self, lattice, algebra, initial, weights):
-        if initial not in set(algebra.states):
-            raise ValidationError(f"unknown initial state {initial!r}")
         self.lattice = lattice
         self.algebra = algebra
-        self.initial = initial
+        self.initial = self._checked_initial(algebra, initial)
         self.weights = _check_weights(lattice, algebra.alphabet, algebra.states, weights)
 
     @property
@@ -56,8 +54,28 @@ class LDtRecognizer:
         return self.algebra.alphabet
 
     def degree(self, t, start=None):
-        """The acceptance degree of `t` from `start` (default: initial state)."""
+        """The acceptance degree of `t` from the state `start` (default: the initial state or states)."""
         return self.degree_map((t,), start)[t]
+
+    def final_weights(self):
+        """All weights appearing in the final table."""
+        return frozenset(v for row in self.weights.values() for v in row.values())
+
+    def final_weight_closure(self):
+        """Meet-closure of the final weights; every degree lands in it."""
+        return self.lattice.meet_closure(self.final_weights())
+
+
+class LDtRecognizer(_WeightedRecognizer):
+    """Deterministic recognizer assigning each tree a lattice degree.
+
+    The degree of a tree is the meet of the final weights of the leaf/state
+    pairs its unique run produces; a leaf alone scores its own weight at the
+    initial state.
+    """
+
+    __slots__ = ()
+    _checked_initial = staticmethod(_check_initial)
 
     def degree_map(self, trees, start=None):
         """Degrees of many trees sharing one memo; useful for enumerations."""
@@ -92,55 +110,23 @@ class LDtRecognizer:
                 value = meet[value][weights[x][b]]
         return value, end
 
-    def final_weights(self):
-        """All weights appearing in the final table."""
-        return frozenset(v for row in self.weights.values() for v in row.values())
 
-    def final_weight_closure(self):
-        """Meet-closure of the final weights; every degree lands in it."""
-        return self.lattice.meet_closure(self.final_weights())
-
-
-class LNdtRecognizer:
+class LNdtRecognizer(_WeightedRecognizer):
     """Nondeterministic recognizer: joins the meet-degree over all runs."""
 
-    __slots__ = ("lattice", "algebra", "initial", "weights")
-
-    def __init__(self, lattice, algebra, initial, weights):
-        initial = frozenset(initial)
-        if not initial <= set(algebra.states):
-            raise ValidationError("unknown initial state")
-        self.lattice = lattice
-        self.algebra = algebra
-        self.initial = initial
-        self.weights = _check_weights(lattice, algebra.alphabet, algebra.states, weights)
-
-    @property
-    def alphabet(self):
-        return self.algebra.alphabet
+    __slots__ = ()
+    _checked_initial = staticmethod(_check_initial_set)
 
     def state_degrees(self, t):
         """The vector of degrees of `t` from every state."""
         return {a: self.degree(t, a) for a in self.algebra.states}
 
-    def degree(self, t, start=None):
-        """Degree from a state, a set of states, or the initial set."""
-        return self.degree_map((t,), start)[t]
-
     def degree_map(self, trees, start=None):
-        if start is None:
-            start = self.initial
-        elif _is_single_state(start, self.algebra.states):
-            start = (start,)
+        """Degrees of many trees from the state `start`, or joined over the initial set."""
         top, choices = self.lattice.top, self.algebra.choices
         options = lambda f, a: [(tup, top) for tup in choices(f, a)]
-        return _evaluate(self.lattice, self.weights, options, [(a, top) for a in start], trees)
-
-    def final_weights(self):
-        return frozenset(v for row in self.weights.values() for v in row.values())
-
-    def final_weight_closure(self):
-        return self.lattice.meet_closure(self.final_weights())
+        roots = [(a, top) for a in (self.initial if start is None else (start,))]
+        return _evaluate(self.lattice, self.weights, options, roots, trees)
 
 
 class GeneralLNdtRecognizer:

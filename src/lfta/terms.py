@@ -248,9 +248,7 @@ _TOKEN = re.compile(r"[^(),\s]+|[(),]")
 
 
 def parse_tree(text):
-    tokens = _TOKEN.findall(text)
-    if "".join(tokens).replace(" ", "") != re.sub(r"\s+", "", text):
-        raise ParseError(f"stray characters in tree {text!r}")
+    tokens = _TOKEN.findall(text)  # every character but whitespace lands in some token
     pos = 0
 
     def node():

@@ -77,34 +77,28 @@ def _dt_product_algebra(f_rec, g_rec):
     return DtAlgebra(f_rec.alphabet, states, transitions)
 
 
-def product_dt(f_rec, g_rec):
-    """Deterministic parallel product; componentwise degrees."""
+def _dt_product(f_rec, g_rec, lattice, combine):
+    """Two DTs run side by side over state pairs; a leaf at a pair weighs
+    `combine` of the two weights, in `lattice`."""
     check_same_alphabet(f_rec, g_rec)
     check_same_lattice(f_rec, g_rec)
-    product_lattice = lat.product(f_rec.lattice, g_rec.lattice)
     algebra = _dt_product_algebra(f_rec, g_rec)
     weights = {
-        x: {
-            (a, b): lat.pair_id(f_rec.weights[x][a], g_rec.weights[x][b])
-            for a, b in algebra.states
-        }
+        x: {(a, b): combine(f_rec.weights[x][a], g_rec.weights[x][b]) for a, b in algebra.states}
         for x in f_rec.alphabet.leaves
     }
-    rec = LDtRecognizer(product_lattice, algebra, (f_rec.initial, g_rec.initial), weights)
-    return PairedRecognizer(rec, f_rec, g_rec)
+    return LDtRecognizer(lattice, algebra, (f_rec.initial, g_rec.initial), weights)
+
+
+def product_dt(f_rec, g_rec):
+    """Deterministic parallel product; componentwise degrees."""
+    product_lattice = lat.product(f_rec.lattice, g_rec.lattice)
+    return PairedRecognizer(_dt_product(f_rec, g_rec, product_lattice, lat.pair_id), f_rec, g_rec)
 
 
 def intersect(f_rec, g_rec):
     """Pointwise meet of two deterministic recognizers."""
-    check_same_alphabet(f_rec, g_rec)
-    check_same_lattice(f_rec, g_rec)
-    algebra = _dt_product_algebra(f_rec, g_rec)
-    meet = f_rec.lattice.meet
-    weights = {
-        x: {(a, b): meet(f_rec.weights[x][a], g_rec.weights[x][b]) for a, b in algebra.states}
-        for x in f_rec.alphabet.leaves
-    }
-    return LDtRecognizer(f_rec.lattice, algebra, (f_rec.initial, g_rec.initial), weights)
+    return _dt_product(f_rec, g_rec, f_rec.lattice, f_rec.lattice.meet)
 
 
 def top_concat(symbol, parts):
@@ -141,6 +135,13 @@ def top_concat(symbol, parts):
     return LDtRecognizer(first.lattice, algebra, ROOT, weights)
 
 
+def _reweighted(rec, lattice, initial, rewrite):
+    """`rec`'s algebra started at `initial`, over `lattice`, with each final
+    weight `v` rewritten to `rewrite(v)`."""
+    weights = {x: {a: rewrite(row[a]) for a in rec.algebra.states} for x, row in rec.weights.items()}
+    return LDtRecognizer(lattice, rec.algebra, initial, weights)
+
+
 def context_quotient(rec, context):
     """Recognizer of t -> degree of context(t); the context is pre-applied.
 
@@ -149,11 +150,7 @@ def context_quotient(rec, context):
     """
     value, end = rec.context_degree(rec.initial, context)
     meet = rec.lattice.meet
-    weights = {
-        x: {a: meet(rec.weights[x][a], value) for a in rec.algebra.states}
-        for x in rec.alphabet.leaves
-    }
-    return LDtRecognizer(rec.lattice, rec.algebra, end, weights)
+    return _reweighted(rec, rec.lattice, end, lambda v: meet(v, value))
 
 
 def context_embed(rec, context):
@@ -290,11 +287,7 @@ def scalar(rec, c):
     """Bound every degree by `c` (pointwise meet with a constant)."""
     rec.lattice.check(c)
     meet = rec.lattice.meet
-    weights = {
-        x: {a: meet(c, rec.weights[x][a]) for a in rec.algebra.states}
-        for x in rec.alphabet.leaves
-    }
-    return LDtRecognizer(rec.lattice, rec.algebra, rec.initial, weights)
+    return _reweighted(rec, rec.lattice, rec.initial, lambda v: meet(c, v))
 
 
 def cut(rec, c):
@@ -334,8 +327,4 @@ def map_values(rec, morphism):
     """Push every degree through a meet-preserving lattice map."""
     if morphism.source != rec.lattice:
         raise ValidationError("morphism source must match the recognizer lattice")
-    weights = {
-        x: {a: morphism(rec.weights[x][a]) for a in rec.algebra.states}
-        for x in rec.alphabet.leaves
-    }
-    return LDtRecognizer(morphism.target, rec.algebra, rec.initial, weights)
+    return _reweighted(rec, morphism.target, rec.initial, morphism)

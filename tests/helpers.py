@@ -9,9 +9,11 @@ the crisp NDT acceptance walk, kept as the reference for
 witness) items, kept as the reference for the values-only one in
 `lfta.automata.saturate`, the character-at-a-time workspace tokenizer,
 kept as the reference for the regular-expression one in `lfta.workspace`,
-the lattice construction that scans the bounds of every pair and the
-distributivity test over all triples, kept as references for the bit-row
-tables and the join-irreducible test in `lfta.lattice`, the NDT
+the lattice construction that scans the bounds of every pair, the
+distributivity test over all triples and the join-irreducibles found by
+joining everything below each element, kept as references for the bit-row
+tables, the join-irreducible test and the lower-cover count in
+`lfta.lattice`, the NDT
 equivalence that saturates every joint vector over the states before it
 scans them, kept as the reference for the block quotient in
 `lfta.decide.ndt_compare`, and the path witness walk that rescores the
@@ -479,3 +481,18 @@ def is_distributive_by_triples(lattice):
     """Whether a meet (b join c) equals (a meet b) join (a meet c) for every triple."""
     meet, join, es = lattice._meet, lattice._join, lattice.elements
     return all(meet[a][join[b][c]] == join[meet[a][b]][meet[a][c]] for a in es for b in es for c in es)
+
+
+def join_irreducibles_by_joins(lattice):
+    """The elements other than bottom that are not the join of the elements
+    strictly below them, in declaration order."""
+    leq, join = lattice._leq, lattice._join
+    found = []
+    for i, e in enumerate(lattice.elements):
+        below = lattice.bottom
+        for k, x in enumerate(lattice.elements):
+            if k != i and leq[k][i]:
+                below = join[below][x]
+        if below != e:
+            found.append(e)
+    return tuple(found)

@@ -232,6 +232,28 @@ def test_ill_formed_paths_and_contexts_exit_2(capsys, argv, error):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "DeadBranch", "--as"],
+        ["subset", "UnionPair", "--as"],
+        ["path-closure", "UnionPair", "--as"],
+        ["level-set", "GradedSquare", "d", "--as"],
+        ["transform", "intersect", "MatchedLeaves", "MatchedLeaves", "--as"],
+        ["transform", "topcat", "f", "MatchedLeaves", "MatchedLeaves", "--as"],
+    ],
+)
+def test_as_without_a_name_exits_2(capsys, argv):
+    assert main(["-f", GOLDENS, *argv]) == 2
+    assert capsys.readouterr() == ("", "error: bad or missing argument (list index out of range)\n")
+
+
+def test_as_names_the_output_and_is_no_operand():
+    out, code = run("transform", ["topcat", "f", "--as", "T", "MatchedLeaves", "MatchedLeaves"], ws())
+    assert code == 0 and "ldt T over M2 alphabet Pair {" in out
+    assert out == run("transform", ["topcat", "f", "MatchedLeaves", "MatchedLeaves", "--as", "T"], ws())[0]
+
+
 def test_load_errors_name_their_file(capsys):
     assert main(["-f", HOMS, "range", "MatchedLeaves"]) == 2
     assert capsys.readouterr().err == f"error: {HOMS}: unknown alphabet 'Pair'\n"

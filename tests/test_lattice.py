@@ -13,7 +13,7 @@ from lfta.errors import (
 )
 from lfta.lattice import Lattice, LatticeMorphism, chain, pair_id, product, projections, validate
 
-from helpers import m3, n5
+from helpers import join_irreducibles_by_joins, m3, n5
 
 
 def test_two_element_chain():
@@ -209,6 +209,16 @@ def test_join_irreducibles_against_the_definition():
             for e in lat.elements:
                 assert lat.join_all([lat.bottom] + [j for j in got if lat.leq(j, e)]) == e
         assert lat._join_irreducibles is got
+
+
+def test_join_irreducibles_are_the_elements_with_one_lower_cover():
+    chain8 = chain([f"{i}/7" for i in range(8)])
+    b2_4 = product(product(fixtures.b2(), fixtures.b2()), product(fixtures.b2(), fixtures.b2()))
+    for lat in (
+        fixtures.b2(), fixtures.diamond(), fixtures.chain3(), fixtures.chain4(), chain8,
+        product(fixtures.chain4(), fixtures.b2()), m3(), n5(), product(chain8, chain8), b2_4, product(n5(), m3()),
+    ):
+        assert lat.join_irreducibles() == join_irreducibles_by_joins(lat)
 
 
 def test_chain_constructor_order():

@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lfta import chain as chain_ops, fixtures
 from lfta.automata import DtAlgebra
@@ -7,6 +10,7 @@ from lfta.oracle import path_closure_crisp
 from lfta.recognizers import LNdtRecognizer, from_finite_language
 from lfta.terms import (
     HOLE,
+    _TOKEN,
     Context,
     PathWord,
     RankedAlphabet,
@@ -35,6 +39,17 @@ def test_parse_errors():
     for bad in ("", "f(x", "f(x,)", "f(x))", "f x"):
         with pytest.raises(ParseError):
             parse_tree(bad)
+
+
+# tree punctuation, symbols, and ASCII and Unicode whitespace, mixed with any other characters
+_TREE_TEXTS = st.text(st.sampled_from("(),fxy_1 \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000") | st.characters())
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_TREE_TEXTS)
+def test_tree_tokens_cover_every_character_but_whitespace(text):
+    # so `parse_tree` has no stray character to report: each one is in some token
+    assert "".join(_TOKEN.findall(text)) == re.sub(r"\s+", "", text)
 
 
 def test_metrics():

@@ -52,6 +52,24 @@ def test_round_trip():
     assert serialize(again) == text
 
 
+def test_round_trip_with_tree_hom_and_morphism_blocks():
+    ws = load([GOLDENS, "goldens/homs.lfta"])
+    load_text("tree Wide alphabet Pair { f(x,f(y,x)) }\ntree Bare alphabet Solo { x }", ws)
+    text = serialize(ws)
+    for block in (
+        "hom dup from Pair to Pair { leaf x -> x ; leaf y -> f(x,y) ; sym f -> f($1,f($1,$2)) }",
+        "morphism drop from C3 to C3 { 0 -> 0 ; d -> 0 ; 1 -> 1 }",
+        "tree Wide alphabet Pair { f(x,f(y,x)) }",
+    ):
+        assert block in text.splitlines()
+    again = load_text(text)
+    assert again == ws
+    assert serialize(again) == text
+    assert again.hom("swap")(parse_tree("f(x,y)")) == parse_tree("f(y,x)")
+    assert again.morphism("drop")("d") == "0"
+    assert again.tree("Bare") == parse_tree("x")
+
+
 def test_programmatic_serialize_round_trip():
     from lfta import chain as chain_ops
     from lfta.recognizers import dt_to_ndt
