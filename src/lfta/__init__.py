@@ -1,7 +1,7 @@
 """Lattice-valued fuzzy top-down tree automata.
 
 Finite trees are scored in a finite bounded lattice by deterministic
-(single-run, meet-only) or nondeterministic (join over runs) top-down
+(single-run, meet-only) or nondeterministic (join over choices) top-down
 recognizers.  The package provides the evaluation semantics, the closure
 constructions on recognizers, decision procedures built on pumping bounds,
 the path-language view, chain-valued normalization and subset constructions,

@@ -174,10 +174,19 @@ def path_closure_recognizer(rec):
 def is_dt_recognizable(rec, budget=DEFAULT_BUDGET):
     """Whether the recognized language is deterministically recognizable.
 
-    Holds exactly when the language equals its own path closure, i.e. when
-    the subset recognizer of a normalized form is equivalent to it.
+    A recognizer with at most one initial state and at most one choice per
+    symbol and state is its own answer: with a sink state whose leaf
+    weights are all bottom standing in for the missing choices (and for a
+    missing initial state, whose language is constantly bottom) it is a DT
+    recognizer, and no combination is spent.  Otherwise the answer is
+    whether the language equals its own path closure, i.e. whether the
+    subset recognizer of a normalized form is equivalent to it.
     """
     require_chain(rec.lattice)
+    if len(rec.initial) <= 1 and all(
+        len(choices) <= 1 for table in rec.algebra.transitions.values() for choices in table.values()
+    ):
+        return True
     normalized = normalize(rec)
     closure = subset_recognizer(normalized)
     return ndt_compare(dt_to_ndt(closure), normalized, budget)[0]

@@ -294,15 +294,12 @@ def compare(f_rec, g_rec, budget=DEFAULT_BUDGET):
     return Comparison(inc_w is None, eq_w is None, dis_w is None, inc_w, eq_w, dis_w)
 
 
-def _block_quotient(nf, ng):
-    """The bisimulation blocks of the disjoint union of two NDT recognizers.
+def _union_rows(nf, ng):
+    """The rows of the disjoint union of two NDT recognizers.
 
-    The states of `nf` are numbered first, then those of `ng`, and
-    `automata.refine` partitions them.  Returns the block of each numbered
-    state, and for each block its row of leaf weights and, per symbol, its
-    choices as tuples of blocks, each listed once.  Both are read off the
-    block's first state: states in one block have the same leaf row and the
-    same set of choices in blocks.
+    The states of `nf` are numbered first, then those of `ng`.  Returns each
+    numbered state's row of leaf weights, in `alphabet.leaves` order, and
+    per symbol its choices as tuples of state numbers.
     """
     symbols, leaves = [f for f, _ in nf.alphabet.symbols], nf.alphabet.leaves
     leaf_rows, rows = [], []
@@ -312,6 +309,18 @@ def _block_quotient(nf, ng):
         leaf_rows += zip(*[[rec.weights[x][a] for a in states] for x in leaves])
         tables = [rec.algebra.transitions[f] for f in symbols]
         rows += [tuple(tuple(tuple(map(number, tup)) for tup in table[a]) for table in tables) for a in states]
+    return leaf_rows, rows
+
+
+def _block_quotient(leaf_rows, rows):
+    """The bisimulation blocks of the numbered states of `_union_rows`.
+
+    `automata.refine` partitions them.  Returns the block of each numbered
+    state, and for each block its row of leaf weights and, per symbol, its
+    choices as tuples of blocks, each listed once.  Both are read off the
+    block's first state: states in one block have the same leaf row and the
+    same set of choices in blocks.
+    """
     block = refine(leaf_rows, rows)
     first = {}
     for i, k in enumerate(block):
@@ -364,12 +373,17 @@ def _joint_vectors(lattice, alphabet, leaf_rows, rows, budget):
 def ndt_compare(nf, ng, budget=DEFAULT_BUDGET):
     """Equivalence of two NDT recognizers, with a counterexample if distinct.
 
-    States in one bisimulation block give every tree the same degree, so a
-    recognizer's degree is the join of its initial blocks' degrees.  When
-    both recognizers start from the same set of blocks they are equal, and
-    no vector is built.  Otherwise the block vectors are saturated, and the
-    answer stops at the first one, in discovery order, whose two initial
-    joins differ; only equal recognizers saturate every vector.
+    A leaf's degree is its weight joined over the initial states, so the
+    leaves are compared first, in `alphabet.leaves` order, from the leaf
+    rows of the disjoint union, and the first that differs is the witness:
+    it is the first fact the vector saturation would yield, so no
+    combination is spent.  States in one bisimulation block give every tree
+    the same degree, so a recognizer's degree is the join of its initial
+    blocks' degrees.  When both recognizers start from the same set of
+    blocks they are equal, and no vector is built.  Otherwise the block
+    vectors are saturated, and the answer stops at the first one, in
+    discovery order, whose two initial joins differ; only equal recognizers
+    saturate every vector.
     """
     check_same_alphabet(nf, ng)
     check_same_lattice(nf, ng)
@@ -384,10 +398,15 @@ def ndt_compare(nf, ng, budget=DEFAULT_BUDGET):
             acc = join[acc][value]
         return acc
 
-    block, leaf_rows, rows = _block_quotient(nf, ng)
+    leaf_rows, rows = _union_rows(nf, ng)
     n = len(nf.algebra.states)
-    left = {block[i] for i, a in enumerate(nf.algebra.states) if a in nf.initial}
-    right = {block[n + j] for j, b in enumerate(ng.algebra.states) if b in ng.initial}
+    left = [i for i, a in enumerate(nf.algebra.states) if a in nf.initial]
+    right = [n + j for j, b in enumerate(ng.algebra.states) if b in ng.initial]
+    for k, x in enumerate(nf.alphabet.leaves):
+        if joined(leaf_rows[i][k] for i in left) != joined(leaf_rows[j][k] for j in right):
+            return False, Tree(x)
+    block, leaf_rows, rows = _block_quotient(leaf_rows, rows)
+    left, right = {block[i] for i in left}, {block[j] for j in right}
     if left == right:
         return True, None
     for _, vec, witness in _joint_vectors(lat, nf.alphabet, leaf_rows, rows, budget):

@@ -1,7 +1,9 @@
 """Lattice-valued top-down tree recognizers and their evaluation semantics.
 
 A deterministic recognizer meets the final weights found at the frontier of
-its single run; a nondeterministic one joins over all runs.  The general
+its single run.  A nondeterministic one scores an inner node by the join,
+over its choices, of the meet of the children's degrees; that is the join
+over all runs only on a distributive lattice.  The general
 nondeterministic form additionally weights transitions and initial states and
 can always be rewritten into the simple form when the lattice is distributive.
 """
@@ -112,7 +114,9 @@ class LDtRecognizer(_WeightedRecognizer):
 
 
 class LNdtRecognizer(_WeightedRecognizer):
-    """Nondeterministic recognizer: joins the meet-degree over all runs."""
+    """Nondeterministic recognizer: at each node, the join over its choices of
+    the meet of the children's degrees (the join over runs when the lattice
+    is distributive)."""
 
     __slots__ = ()
     _checked_initial = staticmethod(_check_initial_set)

@@ -16,9 +16,11 @@ tables, the join-irreducible test and the lower-cover count in
 `lfta.lattice`, the NDT
 equivalence that saturates every joint vector over the states before it
 scans them, kept as the reference for the block quotient in
-`lfta.decide.ndt_compare`, and the path witness walk that rescores the
+`lfta.decide.ndt_compare`, the path witness walk that rescores the
 rest of the path at every step, kept as the reference for the backward pass
-in `lfta.chain.witness_tree`.
+in `lfta.chain.witness_tree`, and the DT-recognizability test that compares
+every input with its path closure, kept as the reference for the
+deterministic answer of `lfta.chain.is_dt_recognizable`.
 """
 
 import random
@@ -36,6 +38,7 @@ from lfta.recognizers import (
     LNdtRecognizer,
     check_same_alphabet,
     check_same_lattice,
+    dt_to_ndt,
 )
 from lfta.terms import PathWord, Tree
 from lfta.transforms import _dt_product_algebra
@@ -251,6 +254,16 @@ def ndt_compare_by_state_vectors(nf, ng, budget=None):
         if left != right:
             return False, witness
     return True, None
+
+
+def is_dt_recognizable_by_closure(rec, budget=decide.DEFAULT_BUDGET):
+    """`lfta.chain.is_dt_recognizable` as it was before its deterministic
+    answer: every input, deterministic or not, is normalized and compared
+    with the subset recognizer of its normal form."""
+    chain_ops.require_chain(rec.lattice)
+    normalized = chain_ops.normalize(rec)
+    closure = chain_ops.subset_recognizer(normalized)
+    return decide.ndt_compare(dt_to_ndt(closure), normalized, budget)[0]
 
 
 def witness_tree_by_rescans(rec, path):

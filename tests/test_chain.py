@@ -2,12 +2,13 @@ import pytest
 
 from lfta import chain as chain_ops
 from lfta import decide, fixtures, paths
-from lfta.errors import NotAChainError, NotNormalizedError
-from lfta.oracle import enum_trees, eval_reference_map, path_image, FiniteFuzzyLanguage
+from lfta.errors import BudgetExceededError, NotAChainError, NotNormalizedError
+from lfta.lattice import chain
+from lfta.oracle import enum_trees, eval_reference_map, is_path_closed, path_image, FiniteFuzzyLanguage
 from lfta.recognizers import dt_to_ndt, from_finite_language
 from lfta.terms import PathWord, delta, parse_path, parse_tree
 
-from helpers import random_dt, random_ndt, seeded, witness_tree_by_rescans
+from helpers import is_dt_recognizable_by_closure, random_dt, random_ndt, seeded, witness_tree_by_rescans
 
 from test_paths import all_paths
 
@@ -25,6 +26,10 @@ def test_chain_guard_on_operations():
     for op in (chain_ops.max_values, chain_ops.normalize, chain_ops.subset_recognizer):
         with pytest.raises(NotAChainError):
             op(rec)
+    # the gate comes before the deterministic answer
+    view = dt_to_ndt(random_dt(rng, fixtures.diamond(), fixtures.alphabet_pair()))
+    with pytest.raises(NotAChainError):
+        chain_ops.is_dt_recognizable(view)
 
 
 def test_max_values_dead_branch():
@@ -275,6 +280,47 @@ def test_is_dt_recognizable():
     assert not chain_ops.is_dt_recognizable(level)
 
 
+def test_is_dt_recognizable_answers_deterministic_input_at_once():
+    # at most one initial state and one choice per row: the recognizer is a
+    # (partial) DT one, so the answer spends no combination
+    rng = seeded(109)
+    alph = fixtures.alphabet_mixed()
+    chain8 = chain([f"{i}/7" for i in range(8)])
+    deterministic = [
+        dt_to_ndt(random_dt(rng, lattice, alph, max_states=5))
+        for lattice in (fixtures.chain3(), fixtures.chain4(), chain8)
+        for _ in range(6)
+    ]
+    b2, pair = fixtures.b2(), fixtures.alphabet_pair()
+    one_tree = from_finite_language(b2, pair, {parse_tree("f(x,y)"): "1"})
+    with pytest.raises(BudgetExceededError):
+        is_dt_recognizable_by_closure(one_tree, budget=0)
+    deterministic.append(one_tree)
+    for rec in deterministic:
+        assert chain_ops.is_dt_recognizable(rec, budget=0)
+        assert is_dt_recognizable_by_closure(rec)
+    # an empty initial set scores bottom everywhere; normalizing it leaves no
+    # state, so the oracle is the reference here
+    support = {parse_tree("f(x,y)"): "0"}
+    all_bottom = from_finite_language(b2, pair, support)
+    assert not all_bottom.initial
+    assert chain_ops.is_dt_recognizable(all_bottom, budget=0)
+    assert is_path_closed(FiniteFuzzyLanguage(b2, pair, support))
+
+
+def test_is_dt_recognizable_matches_the_closure_reference():
+    rng = seeded(111)
+    alphabets = (fixtures.alphabet_pair(), fixtures.alphabet_mixed())
+    verdicts = []
+    for n in range(36):
+        lattice = (fixtures.b2(), fixtures.chain3(), fixtures.chain4())[n % 3]
+        rec = random_ndt(rng, lattice, alphabets[n // 3 % 2], max_states=3)
+        got = chain_ops.is_dt_recognizable(rec)
+        assert got == is_dt_recognizable_by_closure(rec)
+        verdicts.append(got)
+    assert set(verdicts) == {True, False}
+
+
 def test_is_dt_recognizable_agrees_with_oracle_closedness():
     rng = seeded(105)
     lat = fixtures.chain3()
@@ -285,8 +331,6 @@ def test_is_dt_recognizable_agrees_with_oracle_closedness():
         support = {rng.choice(pool): rng.choice(["d", "1"]) for _ in range(rng.randint(1, 3))}
         language = FiniteFuzzyLanguage(lat, alph, support)
         rec = from_finite_language(lat, alph, support)
-        from lfta.oracle import is_path_closed
-
         assert chain_ops.is_dt_recognizable(rec) == is_path_closed(language)
         agree += 1
     assert agree == 12

@@ -376,7 +376,7 @@ def test_saturation_matches_the_items_reference_on_every_rule_kind(inputs):
         "range": lambda: decide.value_range(dt),
         "cuts": lambda: decide.compare(dt, other),
         "vectors": lambda: decide._joint_vectors(
-            nd.lattice, nd.alphabet, *decide._block_quotient(nd, dt_to_ndt(other))[1:], None
+            nd.lattice, nd.alphabet, *decide._block_quotient(*decide._union_rows(nd, dt_to_ndt(other)))[1:], None
         ),
         "nonempty": crisp.nonempty,
     }
@@ -596,6 +596,46 @@ def test_ndt_counterexample():
     assert found > 0
 
 
+def _one_state(lattice, alphabet, leaf_weights, choices):
+    """A one-state NDT recognizer: `choices` is the number of (q, ..., q) choices per symbol."""
+    transitions = {f: {"q": [("q",) * m] * choices} for f, m in alphabet.symbols}
+    weights = {x: {"q": v} for x, v in zip(alphabet.leaves, leaf_weights)}
+    return LNdtRecognizer(lattice, NdtAlgebra(alphabet, ["q"], transitions), ["q"], weights)
+
+
+def test_ndt_compare_answers_a_leaf_that_scores_differently_before_refining(monkeypatch):
+    lattice, alphabet = fixtures.chain3(), fixtures.alphabet_pair()
+    cases = {
+        "first leaf": (_one_state(lattice, alphabet, "1d", 1), _one_state(lattice, alphabet, "dd", 1), "x"),
+        "later leaf": (_one_state(lattice, alphabet, "1d", 1), _one_state(lattice, alphabet, "10", 1), "y"),
+        "deeper": (_one_state(lattice, alphabet, "1d", 1), _one_state(lattice, alphabet, "1d", 0), None),
+    }
+    for name, (nf, ng, leaf) in cases.items():
+        reference = ndt_compare_by_state_vectors(nf, ng)
+        assert decide.ndt_compare(nf, ng) == reference, name
+        assert not reference[0], name
+        if leaf is None:
+            assert reference[1].height >= 1
+        else:
+            assert reference[1] == parse_tree(leaf)
+            # a leaf is a seed of the saturation, which spends no combination
+            assert decide.ndt_compare(nf, ng, budget=0) == reference
+    # a leaf that differs answers before the states are refined
+    monkeypatch.setattr(decide, "refine", None)
+    for nf, ng, leaf in cases.values():
+        if leaf is not None:
+            assert decide.ndt_compare(nf, ng) == (False, parse_tree(leaf))
+    with pytest.raises(TypeError):
+        decide.ndt_compare(*cases["deeper"][:2])
+
+
+def test_ndt_compare_guard_comes_before_the_leaf_answer():
+    alphabet = fixtures.alphabet_pair()
+    nf, ng = _one_state(n5(), alphabet, "ab", 1), _one_state(n5(), alphabet, "cb", 1)
+    with pytest.raises(NonDistributiveLatticeError):
+        decide.ndt_compare(nf, ng)
+
+
 BLOCK_LATTICES = (fixtures.b2(), fixtures.chain4(), fixtures.diamond(), n5(), m3())
 BLOCK_ALPHABETS = (fixtures.alphabet_pair(), fixtures.alphabet_solo(), fixtures.alphabet_mixed())
 BLOCK_POOLS = tuple(enum_trees(alphabet, 2) for alphabet in BLOCK_ALPHABETS)
@@ -636,7 +676,7 @@ def _union_pairs(draw):
 @given(_union_pairs())
 def test_states_in_one_block_score_every_tree_alike(case):
     nf, ng, index, kind = case
-    block, _, _ = decide._block_quotient(nf, ng)
+    block, _, _ = decide._block_quotient(*decide._union_rows(nf, ng))
     numbered = [(nf, a) for a in nf.algebra.states] + [(ng, b) for b in ng.algebra.states]
     scores = {}
     for (rec, a), k in zip(numbered, block):

@@ -146,6 +146,38 @@ def test_ndt_join_of_branches():
     assert rec.degree(parse_tree("f(x,x)")) == "1"
 
 
+def test_ndt_degree_joins_choices_at_each_node_not_over_runs():
+    # over N5 (0 < a < b < 1, c beside a and b) the two readings differ: at
+    # g(x) from p the choices join to a v c = 1, and the kernel and the
+    # oracle meet that with b; joined over the two runs, the meets a ^ b = a
+    # and c ^ b = 0 give a
+    lat = n5()
+    alph = RankedAlphabet({"f": 2, "g": 1}, ["x"])
+    algebra = NdtAlgebra(
+        alph,
+        ["r", "p", "s", "u", "v"],
+        {"f": {"r": [("p", "s")]}, "g": {"p": [("u",), ("v",)]}},
+    )
+    rec = LNdtRecognizer(lat, algebra, ["r"], {"x": {"s": "b", "u": "a", "v": "c"}})
+    t = parse_tree("f(g(x),x)")
+    assert rec.degree(t) == "b"
+    assert eval_reference(rec, t) == "b"
+
+    def run_meets(node, a):
+        """The meet of the frontier weights of each run of `node` from `a`."""
+        if node.is_leaf:
+            return [rec.weights[node.symbol][a]]
+        meets = []
+        for tup in algebra.choices(node.symbol, a):
+            partial = [lat.top]
+            for child, b in zip(node.children, tup):
+                partial = [lat.meet(m, v) for m in partial for v in run_meets(child, b)]
+            meets += partial
+        return meets
+
+    assert lat.join_all(run_meets(t, "r")) == "a"
+
+
 def test_dt_to_ndt_preserves_degrees():
     rng = seeded(31)
     for n in range(20):
