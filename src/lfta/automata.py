@@ -28,6 +28,20 @@ def _check_states(states):
     return states, state_set
 
 
+def _built_algebra(cls, alphabet, states, transitions):
+    """An algebra over tables that lfta built and checked itself, stored unchecked.
+
+    `states` lists distinct states, at least one, and `transitions` is a
+    complete `{symbol: {state: row}}` table over them, in the stored form
+    of `cls`: the rows hold only listed states, with one target per child
+    slot.  The public constructor checks all of this for input from
+    outside.
+    """
+    self = object.__new__(cls)
+    self.alphabet, self.states, self.transitions = alphabet, tuple(states), transitions
+    return self
+
+
 class DtAlgebra:
     """Finite deterministic top-down algebra: state -> tuple of child states."""
 
@@ -52,6 +66,8 @@ class DtAlgebra:
         self.alphabet = alphabet
         self.states = states
         self.transitions = table
+
+    _built = classmethod(_built_algebra)  # a row is a tuple of child states
 
     def step(self, symbol, state):
         return self.transitions[symbol][state]
@@ -110,11 +126,15 @@ class NdtAlgebra:
                         if b not in state_set:
                             raise ValidationError(f"unknown target state {b!r}")
                     choices.append(tup)
-                # sorted by text, so the order does not depend on hashing; one choice is its own order
+                # input from outside lfta is deduplicated and sorted by text, so its order does not
+                # depend on hashing (one choice is its own order); `_built` keeps a construction's order
                 table[f][a] = tuple(sorted(set(choices), key=repr)) if len(choices) > 1 else tuple(choices)
         self.alphabet = alphabet
         self.states = states
         self.transitions = table
+
+    # a row is a tuple of distinct child tuples, in the order the construction made them
+    _built = classmethod(_built_algebra)
 
     def choices(self, symbol, state):
         return self.transitions[symbol][state]
@@ -218,7 +238,7 @@ def subset_algebra(algebra, starts):
         return row, row
 
     states, transitions = explore(algebra.alphabet, map(frozenset, starts), expand)
-    return DtAlgebra(algebra.alphabet, states, transitions)
+    return DtAlgebra._built(algebra.alphabet, states, transitions)
 
 
 def refine(leaf_rows, rows):
@@ -358,6 +378,18 @@ def _check_finals(algebra, final):
     return table
 
 
+def _built_crisp(cls, algebra, initial, final):
+    """A crisp recognizer over values that lfta built and checked itself, stored unchecked.
+
+    `initial` is in the stored form of `cls` (one state, or a frozenset of
+    states), and `final` holds a frozenset of the algebra's states for
+    every leaf.
+    """
+    self = object.__new__(cls)
+    self.algebra, self.initial, self.final = algebra, initial, final
+    return self
+
+
 class DtRecognizer:
     """Crisp deterministic recognizer: accepted iff every frontier pair is final."""
 
@@ -367,6 +399,8 @@ class DtRecognizer:
         self.algebra = algebra
         self.initial = _check_initial(algebra, initial)
         self.final = _check_finals(algebra, final)
+
+    _built = classmethod(_built_crisp)
 
     def accepts(self, t, start=None):
         start = self.initial if start is None else start
@@ -382,6 +416,8 @@ class NdtRecognizer:
         self.algebra = algebra
         self.initial = _check_initial_set(algebra, initial)
         self.final = _check_finals(algebra, final)
+
+    _built = classmethod(_built_crisp)
 
     def accepts(self, t):
         """Whether some run from an initial state ends in final states only: the

@@ -10,6 +10,7 @@ deterministic recognizability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .automata import DtAlgebra, subset_algebra
 from .decide import DEFAULT_BUDGET, ndt_compare
@@ -103,15 +104,16 @@ def normalize(rec):
     States pair an original state with a degree cap; each transition caps its
     children by the least best-degree among the siblings, which equalizes
     their best degrees without changing any tree's overall degree.  Only
-    states reachable from the new initial set are kept.
+    states reachable from the new initial set are kept; with no initial
+    state the result is one state that scores bottom.
     """
     require_chain(rec.lattice)
-    lat = rec.lattice
+    meet, top = rec.lattice._meet, rec.lattice.top
     table = max_values(rec)
     initial = frozenset((a, table[a]) for a in rec.initial)
 
-    def options(f, a):
-        return [(tup, lat.meet_all(table[b] for b in tup)) for tup in rec.algebra.choices(f, a)]
+    def options(f, a):  # the best degrees come out of the lattice tables, so the caps read them unchecked
+        return [(tup, reduce(lambda u, b: meet[u][table[b]], tup, top)) for tup in rec.algebra.choices(f, a)]
 
     return _capped_construction(rec, initial, options)
 
@@ -128,9 +130,9 @@ def normalize_dt(rec):
             assert len(choices) == 1, "normalization must keep deterministic inputs deterministic"
             rows[state] = choices[0]
         transitions[f] = rows
-    algebra = DtAlgebra(rec.alphabet, normalized.algebra.states, transitions)
+    algebra = DtAlgebra._built(rec.alphabet, normalized.algebra.states, transitions)
     (start,) = normalized.initial
-    return LDtRecognizer(rec.lattice, algebra, start, normalized.weights)
+    return LDtRecognizer._built(rec.lattice, algebra, start, normalized.weights)
 
 
 def path_degree_ndt(rec, path, start=None):
@@ -153,17 +155,18 @@ def subset_recognizer(rec):
     """
     require_chain(rec.lattice)
     lat = rec.lattice
+    join = lat._join  # the weights were validated at construction
     algebra = subset_algebra(rec.algebra, starts=[rec.initial])
     weights = {}
     for x in rec.alphabet.leaves:
-        row = {}
+        row, weight = {}, rec.weights[x]
         for subset in algebra.states:
             best = lat.bottom
             for a in subset:
-                best = lat.join(best, rec.weights[x][a])
+                best = join[best][weight[a]]
             row[subset] = best
         weights[x] = row
-    return LDtRecognizer(lat, algebra, frozenset(rec.initial), weights)
+    return LDtRecognizer._built(lat, algebra, frozenset(rec.initial), weights)
 
 
 def path_closure_recognizer(rec):

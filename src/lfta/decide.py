@@ -21,6 +21,7 @@ from a non-bottom degree of the initial state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice, product as iproduct
 
 from .automata import Budget, NdtAlgebra, NdtRecognizer, refine, saturate
@@ -425,28 +426,31 @@ def level_set(rec, d):
     States pair an original state with the degree still to be produced below
     it; a branching guesses how the target degree splits into a meet over the
     children.  Values outside the final-weight meet-closure give the empty
-    recognizer (no tree attains them).
+    recognizer (no tree attains them).  The closure is meet-closed and comes
+    out of the lattice tables, so the splits read the meet table unchecked.
+    A row lists its splits in the order `iproduct` makes them, and distinct
+    splits give distinct child tuples, so no row repeats a choice.
     """
     rec.lattice.check(d)
-    lat = rec.lattice
+    meet = rec.lattice._meet
     closure = sorted(rec.final_weight_closure(), key=rec.lattice.elements.index)
     states = [(a, c) for a in rec.algebra.states for c in closure]
     transitions = {}
     for f, m in rec.alphabet.symbols:
         splits = {c: [] for c in closure}  # each closure value's splits into a meet of m
         for combo in iproduct(closure, repeat=m):
-            splits[lat.meet_all(combo)].append(combo)
+            splits[reduce(lambda u, v: meet[u][v], combo)].append(combo)
         transitions[f] = {
             (a, c): tuple(tuple(zip(rec.algebra.step(f, a), combo)) for combo in splits[c])
             for a, c in states
         }
-    algebra = NdtAlgebra(rec.alphabet, states, transitions)
+    algebra = NdtAlgebra._built(rec.alphabet, states, transitions)
     final = {
-        x: {(a, rec.weights[x][a]) for a in rec.algebra.states}
+        x: frozenset((a, rec.weights[x][a]) for a in rec.algebra.states)
         for x in rec.alphabet.leaves
     }
-    initial = [(rec.initial, d)] if d in set(closure) else []
-    return NdtRecognizer(algebra, initial, final)
+    initial = frozenset([(rec.initial, d)] if d in set(closure) else [])
+    return NdtRecognizer._built(algebra, initial, final)
 
 
 def level_in_domain(rec, d):

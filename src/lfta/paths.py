@@ -54,8 +54,8 @@ def to_unary(rec):
             transitions[letter_name((f, i))] = {
                 a: (rec.algebra.step(f, a)[i - 1],) for a in rec.algebra.states
             }
-    algebra = DtAlgebra(unary, rec.algebra.states, transitions)
-    return LDtRecognizer(rec.lattice, algebra, rec.initial, rec.weights)
+    algebra = DtAlgebra._built(unary, rec.algebra.states, transitions)
+    return LDtRecognizer._built(rec.lattice, algebra, rec.initial, rec.weights)
 
 
 def from_unary(rec, alphabet):
@@ -73,8 +73,8 @@ def from_unary(rec, alphabet):
             a: tuple(rec.algebra.step(letter_name((f, i)), a)[0] for i in range(1, m + 1))
             for a in rec.algebra.states
         }
-    algebra = DtAlgebra(alphabet, rec.algebra.states, transitions)
-    return LDtRecognizer(rec.lattice, algebra, rec.initial, rec.weights)
+    algebra = DtAlgebra._built(alphabet, rec.algebra.states, transitions)
+    return LDtRecognizer._built(rec.lattice, algebra, rec.initial, rec.weights)
 
 
 def path_degree(rec, path, start=None):

@@ -39,8 +39,12 @@ class _WeightedRecognizer:
     """An algebra, its start and its final weights: what the DT and NDT recognizers share.
 
     A start is one state: `degree` and `degree_map` read `start=None` as the
-    initial state, or the initial set of an NDT recognizer.  The subclass
-    checks its kind of initial argument with `_checked_initial`.
+    initial state, or the initial set of an NDT recognizer.  The public
+    constructor checks input from outside: the subclass checks its kind of
+    initial argument with `_checked_initial`, and every final weight is
+    checked against the lattice and the states.  Constructions build
+    through `_built` instead, from values they took from checked
+    recognizers or out of the lattice tables.
     """
 
     __slots__ = ("lattice", "algebra", "initial", "weights")
@@ -50,6 +54,18 @@ class _WeightedRecognizer:
         self.algebra = algebra
         self.initial = self._checked_initial(algebra, initial)
         self.weights = _check_weights(lattice, algebra.alphabet, algebra.states, weights)
+
+    @classmethod
+    def _built(cls, lattice, algebra, initial, weights):
+        """A recognizer over values that lfta built and checked itself, stored unchecked.
+
+        `initial` is in stored form (one state, or a frozenset of states for
+        an NDT recognizer), and `weights` holds a row for every leaf with a
+        lattice element for every state.
+        """
+        self = object.__new__(cls)
+        self.lattice, self.algebra, self.initial, self.weights = lattice, algebra, initial, weights
+        return self
 
     @property
     def alphabet(self):
@@ -198,8 +214,8 @@ def dt_to_ndt(rec):
         f: {a: (rec.algebra.step(f, a),) for a in rec.algebra.states}
         for f, _ in rec.alphabet.symbols
     }
-    algebra = NdtAlgebra(rec.alphabet, rec.algebra.states, transitions)
-    return LNdtRecognizer(rec.lattice, algebra, [rec.initial], rec.weights)
+    algebra = NdtAlgebra._built(rec.alphabet, rec.algebra.states, transitions)
+    return LNdtRecognizer._built(rec.lattice, algebra, frozenset([rec.initial]), rec.weights)
 
 
 def _capped_construction(rec, initial, options):
@@ -209,10 +225,18 @@ def _capped_construction(rec, initial, options):
     `f` at `a`; every child inherits the meet of its parent's cap with that
     weight, and a leaf scores its weight in `rec` capped by the state's cap.
     Caps and weights are lattice elements already checked at construction,
-    so the meet table is read unchecked.
+    so the meet table is read unchecked.  A row keeps the order of
+    `options`, and needs no deduplication: distinct child tuples stay
+    distinct once capped.  With no initial state the language is constantly
+    bottom, and one state without choices, capped at bottom, recognizes it.
     """
     lat = rec.lattice
     meet = lat._meet
+    if not initial:
+        dead = ("dead", lat.bottom)
+        algebra = NdtAlgebra._built(rec.alphabet, [dead], {f: {dead: ()} for f, _ in rec.alphabet.symbols})
+        weights = {x: {dead: lat.bottom} for x in rec.alphabet.leaves}
+        return LNdtRecognizer._built(lat, algebra, initial, weights)
 
     def expand(f, state):
         a, d = state
@@ -228,8 +252,8 @@ def _capped_construction(rec, initial, options):
         x: {(a, d): meet[rec.weights[x][a]][d] for (a, d) in states}
         for x in rec.alphabet.leaves
     }
-    algebra = NdtAlgebra(rec.alphabet, states, transitions)
-    return LNdtRecognizer(lat, algebra, initial, weights)
+    algebra = NdtAlgebra._built(rec.alphabet, states, transitions)
+    return LNdtRecognizer._built(lat, algebra, initial, weights)
 
 
 def general_to_simple(rec):

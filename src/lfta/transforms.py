@@ -9,9 +9,10 @@ construction against the brute-force oracle on bounded tree enumerations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from . import lattice as lat
-from .automata import DtAlgebra, DtRecognizer, NdtAlgebra, explore
+from .automata import DtAlgebra, DtRecognizer, NdtAlgebra, _check_states, explore
 from .errors import ArityMismatchError, ValidationError, ZeroNotIrreducibleError
 from .recognizers import (
     LDtRecognizer,
@@ -39,7 +40,11 @@ class PairedRecognizer:
 
 
 def parallel_product(nf, ng):
-    """Runs two NDT recognizers side by side; degrees are value pairs."""
+    """Runs two NDT recognizers side by side; degrees are value pairs.
+
+    A row pairs every choice of `nf` with every choice of `ng`; two factor
+    rows without repeats give a product row without repeats.
+    """
     check_same_alphabet(nf, ng)
     check_same_lattice(nf, ng)
     product_lattice = lat.product(nf.lattice, ng.lattice)
@@ -54,13 +59,13 @@ def parallel_product(nf, ng):
                 for tb in ng.algebra.choices(f, b)
             )
         transitions[f] = rows
-    algebra = NdtAlgebra(nf.alphabet, states, transitions)
+    algebra = NdtAlgebra._built(nf.alphabet, states, transitions)
     weights = {
         x: {(a, b): lat.pair_id(nf.weights[x][a], ng.weights[x][b]) for a, b in states}
         for x in nf.alphabet.leaves
     }
-    initial = [(a, b) for a in nf.initial for b in ng.initial]
-    rec = LNdtRecognizer(product_lattice, algebra, initial, weights)
+    initial = frozenset((a, b) for a in nf.initial for b in ng.initial)
+    rec = LNdtRecognizer._built(product_lattice, algebra, initial, weights)
     return PairedRecognizer(rec, nf, ng)
 
 
@@ -74,7 +79,7 @@ def _dt_product_algebra(f_rec, g_rec):
             tb = g_rec.algebra.step(f, b)
             rows[(a, b)] = tuple(zip(ta, tb))
         transitions[f] = rows
-    return DtAlgebra(f_rec.alphabet, states, transitions)
+    return DtAlgebra._built(f_rec.alphabet, states, transitions)
 
 
 def _dt_product(f_rec, g_rec, lattice, combine):
@@ -87,7 +92,7 @@ def _dt_product(f_rec, g_rec, lattice, combine):
         x: {(a, b): combine(f_rec.weights[x][a], g_rec.weights[x][b]) for a, b in algebra.states}
         for x in f_rec.alphabet.leaves
     }
-    return LDtRecognizer(lattice, algebra, (f_rec.initial, g_rec.initial), weights)
+    return LDtRecognizer._built(lattice, algebra, (f_rec.initial, g_rec.initial), weights)
 
 
 def product_dt(f_rec, g_rec):
@@ -98,7 +103,8 @@ def product_dt(f_rec, g_rec):
 
 def intersect(f_rec, g_rec):
     """Pointwise meet of two deterministic recognizers."""
-    return _dt_product(f_rec, g_rec, f_rec.lattice, f_rec.lattice.meet)
+    meet = f_rec.lattice._meet  # the weights were validated at construction
+    return _dt_product(f_rec, g_rec, f_rec.lattice, lambda u, v: meet[u][v])
 
 
 def top_concat(symbol, parts):
@@ -124,7 +130,7 @@ def top_concat(symbol, parts):
             for a in part.algebra.states:
                 rows[tag(i, a)] = tuple(tag(i, b) for b in part.algebra.step(g, a))
         transitions[g] = rows
-    algebra = DtAlgebra(first.alphabet, states, transitions)
+    algebra = DtAlgebra._built(first.alphabet, states, transitions)
     weights = {}
     for x in first.alphabet.leaves:
         row = {ROOT: first.lattice.bottom, DEAD: first.lattice.bottom}
@@ -132,14 +138,14 @@ def top_concat(symbol, parts):
             for a in part.algebra.states:
                 row[tag(i, a)] = part.weights[x][a]
         weights[x] = row
-    return LDtRecognizer(first.lattice, algebra, ROOT, weights)
+    return LDtRecognizer._built(first.lattice, algebra, ROOT, weights)
 
 
 def _reweighted(rec, lattice, initial, rewrite):
     """`rec`'s algebra started at `initial`, over `lattice`, with each final
-    weight `v` rewritten to `rewrite(v)`."""
+    weight `v` rewritten to `rewrite(v)`, an element of `lattice`."""
     weights = {x: {a: rewrite(row[a]) for a in rec.algebra.states} for x, row in rec.weights.items()}
-    return LDtRecognizer(lattice, rec.algebra, initial, weights)
+    return LDtRecognizer._built(lattice, rec.algebra, initial, weights)
 
 
 def context_quotient(rec, context):
@@ -149,8 +155,8 @@ def context_quotient(rec, context):
     context's own frontier contribution into every final weight.
     """
     value, end = rec.context_degree(rec.initial, context)
-    meet = rec.lattice.meet
-    return _reweighted(rec, rec.lattice, end, lambda v: meet(v, value))
+    met = rec.lattice._meet[value]  # the meet table's row of `value`, which comes out of the checked weights
+    return _reweighted(rec, rec.lattice, end, met.__getitem__)
 
 
 def context_embed(rec, context):
@@ -163,7 +169,7 @@ def context_embed(rec, context):
     """
     shape = context.tree
     if shape.is_leaf:  # bare hole: context(s) = s
-        return LDtRecognizer(rec.lattice, rec.algebra, rec.initial, rec.weights)
+        return LDtRecognizer._built(rec.lattice, rec.algebra, rec.initial, rec.weights)
 
     def state_of(subtree):
         if subtree.is_leaf and subtree.symbol == HOLE:
@@ -183,7 +189,8 @@ def context_embed(rec, context):
             else:
                 rows[("ctx", s)] = (DEAD,) * m
         transitions[f] = rows
-    algebra = DtAlgebra(rec.alphabet, states, transitions)
+    # the added states can repeat states of an input that these constructions built
+    algebra = DtAlgebra._built(rec.alphabet, _check_states(states)[0], transitions)
     weights = {}
     for x in rec.alphabet.leaves:
         row = {DEAD: rec.lattice.bottom}
@@ -193,7 +200,7 @@ def context_embed(rec, context):
             matches = s.is_leaf and s.symbol == x
             row[("ctx", s)] = rec.lattice.top if matches else rec.lattice.bottom
         weights[x] = row
-    return LDtRecognizer(rec.lattice, algebra, state_of(shape), weights)
+    return LDtRecognizer._built(rec.lattice, algebra, state_of(shape), weights)
 
 
 def _sorted_repr(value):
@@ -221,6 +228,7 @@ def inverse_hom(rec, hom):
         raise ValidationError("homomorphism target must match the recognizer alphabet")
     lat_ = rec.lattice
     top = lat_.top
+    meet = lambda u, v: lat_._meet[u][v]  # every value comes out of the checked weights
 
     def expand(f, state):
         states_here, d = state
@@ -228,8 +236,7 @@ def inverse_hom(rec, hom):
         pairs = set()
         for a in states_here:
             pairs |= rec.algebra.leaf_run(image, a)
-        frontier = [rec.weights[y][b] for y, b in pairs if rec.alphabet.is_leaf(y)]
-        shared = lat_.meet(d, lat_.meet_all(frontier) if frontier else top)
+        shared = reduce(meet, [rec.weights[y][b] for y, b in pairs if rec.alphabet.is_leaf(y)], d)
         row = tuple(
             (frozenset(b for y, b in pairs if y == f"${i}"), shared)
             for i in range(1, hom.source.arity(f) + 1)
@@ -247,12 +254,10 @@ def inverse_hom(rec, hom):
         row = {}
         for state in states:
             states_here, d = state
-            parts = [from_state[a][image] for a in states_here]
-            inner = lat_.meet_all(parts) if parts else top
-            row[state] = lat_.meet(d, inner)
+            row[state] = reduce(meet, [from_state[a][image] for a in states_here], d)
         weights[x] = row
-    algebra = DtAlgebra(hom.source, states, transitions)
-    return LDtRecognizer(lat_, algebra, start, weights)
+    algebra = DtAlgebra._built(hom.source, states, transitions)
+    return LDtRecognizer._built(lat_, algebra, start, weights)
 
 
 def alphabetic_image(rec, hom):
@@ -272,7 +277,8 @@ def alphabetic_image(rec, hom):
         for a in rec.algebra.states:
             rows[a] = rec.algebra.step(f, a) if f is not None else (DEAD,) * m
         transitions[g] = rows
-    algebra = DtAlgebra(target, states, transitions)
+    # DEAD can repeat a state of an input that these constructions built
+    algebra = DtAlgebra._built(target, _check_states(states)[0], transitions)
     weights = {}
     for y in target.leaves:
         x = preimage_leaf.get(y)
@@ -280,24 +286,24 @@ def alphabetic_image(rec, hom):
         for a in rec.algebra.states:
             row[a] = rec.weights[x][a] if x is not None else rec.lattice.bottom
         weights[y] = row
-    return LDtRecognizer(rec.lattice, algebra, rec.initial, weights)
+    return LDtRecognizer._built(rec.lattice, algebra, rec.initial, weights)
 
 
 def scalar(rec, c):
     """Bound every degree by `c` (pointwise meet with a constant)."""
     rec.lattice.check(c)
-    meet = rec.lattice.meet
-    return _reweighted(rec, rec.lattice, rec.initial, lambda v: meet(c, v))
+    return _reweighted(rec, rec.lattice, rec.initial, rec.lattice._meet[c].__getitem__)
 
 
 def cut(rec, c):
     """Crisp recognizer of the trees whose degree is at least `c`."""
     rec.lattice.check(c)
+    up = {e for e in rec.lattice.elements if rec.lattice.leq(c, e)}
     final = {
-        x: {a for a in rec.algebra.states if rec.lattice.leq(c, rec.weights[x][a])}
+        x: frozenset(a for a in rec.algebra.states if rec.weights[x][a] in up)
         for x in rec.alphabet.leaves
     }
-    return DtRecognizer(rec.algebra, rec.initial, final)
+    return DtRecognizer._built(rec.algebra, rec.initial, final)
 
 
 def characteristic_dt(crisp, lattice):
@@ -309,7 +315,7 @@ def characteristic_dt(crisp, lattice):
         }
         for x in crisp.algebra.alphabet.leaves
     }
-    return LDtRecognizer(lattice, crisp.algebra, crisp.initial, weights)
+    return LDtRecognizer._built(lattice, crisp.algebra, crisp.initial, weights)
 
 
 def support_dt(rec):
@@ -317,14 +323,15 @@ def support_dt(rec):
     if not rec.lattice.zero_meet_irreducible():
         raise ZeroNotIrreducibleError("two nonzero degrees can meet at 0 in this lattice")
     final = {
-        x: {a for a in rec.algebra.states if rec.weights[x][a] != rec.lattice.bottom}
+        x: frozenset(a for a in rec.algebra.states if rec.weights[x][a] != rec.lattice.bottom)
         for x in rec.alphabet.leaves
     }
-    return DtRecognizer(rec.algebra, rec.initial, final)
+    return DtRecognizer._built(rec.algebra, rec.initial, final)
 
 
 def map_values(rec, morphism):
     """Push every degree through a meet-preserving lattice map."""
     if morphism.source != rec.lattice:
         raise ValidationError("morphism source must match the recognizer lattice")
-    return _reweighted(rec, morphism.target, rec.initial, morphism)
+    # the mapping was checked at construction, and the weights are elements of its source
+    return _reweighted(rec, morphism.target, rec.initial, morphism.mapping.__getitem__)

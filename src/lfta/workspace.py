@@ -421,7 +421,10 @@ def _serialize_rec_lines(rec):
     lines = [f"states {' '.join(names.values())}", "initial " + " ".join(sorted(names[a] for a in initial))]
     for f, _ in alphabet.symbols:
         for a in algebra.states:
-            for tup in [algebra.step(f, a)] if deterministic else algebra.choices(f, a):
+            row = [algebra.step(f, a)] if deterministic else algebra.choices(f, a)
+            # a constructed row keeps construction order in memory; text lists the choices by repr,
+            # the order loading gives them, and one choice is its own order
+            for tup in sorted(row, key=repr) if len(row) > 1 else row:
                 lines.append(f"trans {f} {names[a]} -> {' '.join(names[b] for b in tup)}")
     for x in alphabet.leaves:
         if isinstance(rec, (DtRecognizer, NdtRecognizer)):

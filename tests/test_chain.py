@@ -4,9 +4,19 @@ from lfta import chain as chain_ops
 from lfta import decide, fixtures, paths
 from lfta.errors import BudgetExceededError, NotAChainError, NotNormalizedError
 from lfta.lattice import chain
-from lfta.oracle import enum_trees, eval_reference_map, is_path_closed, path_image, FiniteFuzzyLanguage
+from lfta.cli import run
+from lfta.oracle import (
+    FiniteFuzzyLanguage,
+    enum_trees,
+    eval_reference,
+    eval_reference_map,
+    fuzzy_path_closure,
+    is_path_closed,
+    path_image,
+)
 from lfta.recognizers import dt_to_ndt, from_finite_language
 from lfta.terms import PathWord, delta, parse_path, parse_tree
+from lfta.workspace import Workspace, load_text
 
 from helpers import is_dt_recognizable_by_closure, random_dt, random_ndt, seeded, witness_tree_by_rescans
 
@@ -299,13 +309,39 @@ def test_is_dt_recognizable_answers_deterministic_input_at_once():
     for rec in deterministic:
         assert chain_ops.is_dt_recognizable(rec, budget=0)
         assert is_dt_recognizable_by_closure(rec)
-    # an empty initial set scores bottom everywhere; normalizing it leaves no
-    # state, so the oracle is the reference here
+    # an empty initial set scores bottom everywhere, and so does its path closure
     support = {parse_tree("f(x,y)"): "0"}
     all_bottom = from_finite_language(b2, pair, support)
     assert not all_bottom.initial
     assert chain_ops.is_dt_recognizable(all_bottom, budget=0)
     assert is_path_closed(FiniteFuzzyLanguage(b2, pair, support))
+
+
+def test_empty_initial_set_normalizes_to_one_bottom_state():
+    b2, pair = fixtures.b2(), fixtures.alphabet_pair()
+    support = {parse_tree("f(x,y)"): "0"}
+    rec = from_finite_language(b2, pair, support)
+    assert not rec.initial
+    normalized = chain_ops.normalize(rec)
+    assert len(normalized.algebra.states) == 1 and not normalized.initial
+    assert chain_ops.is_normalized(normalized)
+    closure = chain_ops.path_closure_recognizer(rec)
+    assert len(closure.algebra.states) == 1
+    reference = fuzzy_path_closure(FiniteFuzzyLanguage(b2, pair, support), 2)
+    pool = enum_trees(pair, 2)
+    for result in (normalized, closure, chain_ops.subset_recognizer(normalized)):
+        degrees = result.degree_map(pool)
+        for t in pool:
+            assert degrees[t] == eval_reference(rec, t) == reference(t) == "0"
+    ws = Workspace()
+    ws.add_lattice("B2", b2)
+    ws.add_alphabet("Pair", pair)
+    ws.add_recognizer("E", rec)
+    for command, name in (("normalize", "E_norm"), ("path-closure", "E_closure")):
+        report, code = run(command, ["E"], ws)
+        assert code == 0
+        loaded = load_text(report, ws).recognizer(name)
+        assert set(loaded.degree_map(pool).values()) == {"0"}
 
 
 def test_is_dt_recognizable_matches_the_closure_reference():

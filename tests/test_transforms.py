@@ -1,18 +1,20 @@
 import pytest
 
-from lfta import fixtures, transforms
+from lfta import chain as chain_ops
+from lfta import decide, fixtures, paths, transforms
+from lfta.automata import DtAlgebra, DtRecognizer, NdtRecognizer
 from lfta.errors import (
     ArityMismatchError,
     LatticeMismatchError,
     NotInjectiveError,
     ZeroNotIrreducibleError,
 )
-from lfta.lattice import LatticeMorphism, split_pair_id
+from lfta.lattice import LatticeMorphism, product, split_pair_id
 from lfta.oracle import enum_trees, eval_reference_map
-from lfta.recognizers import dt_to_ndt
+from lfta.recognizers import dt_to_ndt, general_to_simple
 from lfta.terms import RankedAlphabet, Tree, TreeHomomorphism, parse_context, parse_tree, var
 
-from helpers import lattice_menu, random_dt, random_ndt, seeded
+from helpers import lattice_menu, random_dt, random_general, random_ndt, seeded
 
 
 def tree_pool(alphabet, height=3):
@@ -398,3 +400,83 @@ def test_union_of_incomparable_supports_is_not_dt_recognizable():
     assert not chain_ops.is_dt_recognizable(union)
     half = from_finite_language(lat, alph, {parse_tree("f(x,y)"): "1"})
     assert chain_ops.is_dt_recognizable(half)
+
+
+def public_twin(rec):
+    """`rec` rebuilt through the public, checking constructors from its own tables."""
+    algebra = type(rec.algebra)(rec.algebra.alphabet, rec.algebra.states, rec.algebra.transitions)
+    if isinstance(rec, (DtRecognizer, NdtRecognizer)):
+        return type(rec)(algebra, rec.initial, rec.final)
+    return type(rec)(rec.lattice, algebra, rec.initial, rec.weights)
+
+
+def _assert_passes_public_checks(built):
+    """The public constructors accept `built`'s tables and store the same
+    recognizer, an NDT row as the same set of choices, each listed once."""
+    public = public_twin(built)
+    for field in ("lattice", "initial", "weights", "final"):
+        assert getattr(built, field, None) == getattr(public, field, None), field
+    assert (built.algebra.alphabet, built.algebra.states) == (public.algebra.alphabet, public.algebra.states)
+    if isinstance(built.algebra, DtAlgebra):
+        assert built.algebra.transitions == public.algebra.transitions
+        return
+    assert built.algebra.transitions.keys() == public.algebra.transitions.keys()
+    for f, rows in public.algebra.transitions.items():
+        assert built.algebra.transitions[f].keys() == rows.keys()
+        for a, row in rows.items():
+            got = built.algebra.transitions[f][a]
+            assert type(got) is tuple and len(set(got)) == len(got) and set(got) == set(row)
+
+
+def test_constructions_pass_the_public_checks():
+    """Constructions skip the constructor checks; their outputs must pass them anyway."""
+    source = unary_into_pair()
+    lattices = (fixtures.b2(), fixtures.diamond(), fixtures.chain4(), product(fixtures.chain4(), fixtures.b2()))
+    for lattice in lattices:
+        rng = seeded(71)
+        identity = LatticeMorphism(lattice, lattice, {e: e for e in lattice.elements})
+        for alph in (fixtures.alphabet_pair(), fixtures.alphabet_mixed()):
+            for _ in range(3):
+                r, s = random_dt(rng, lattice, alph), random_dt(rng, lattice, alph)
+                nf, ng = random_ndt(rng, lattice, alph), random_ndt(rng, lattice, alph)
+                c = rng.choice(lattice.elements)
+                ctx = parse_context(rng.choice(["@", "f(@,y)", "f(f(x,@),x)"]))
+                hom = TreeHomomorphism(
+                    source, alph, {"x": Tree("x"), "y": Tree("y")},
+                    {"g": rng.choice([Tree("f", [var(1), var(1)]), Tree("f", [var(1), Tree("y")]), var(1)])},
+                )
+                renamed = RankedAlphabet({f"{f}'": m for f, m in alph.symbols}, ["u", "v"])
+                rename = TreeHomomorphism(
+                    alph, renamed, {"x": Tree("u"), "y": Tree("v")},
+                    {f: Tree(f"{f}'", [var(i) for i in range(1, m + 1)]) for f, m in alph.symbols},
+                )
+                crisp = transforms.cut(r, c)
+                built = [
+                    transforms.intersect(r, s),
+                    transforms.product_dt(r, s).recognizer,
+                    transforms.top_concat("f", [r, s]),
+                    transforms.scalar(r, c),
+                    transforms.context_quotient(r, ctx),
+                    transforms.context_embed(r, ctx),
+                    transforms.map_values(r, identity),
+                    transforms.inverse_hom(r, hom),
+                    transforms.alphabetic_image(r, rename),
+                    crisp,
+                    transforms.characteristic_dt(crisp, lattice),
+                    paths.to_unary(r),
+                    paths.from_unary(paths.to_unary(r), alph),
+                    decide.level_set(r, c),
+                    dt_to_ndt(r),
+                    transforms.parallel_product(nf, ng).recognizer,
+                    general_to_simple(random_general(rng, lattice, alph)),
+                ]
+                if lattice.is_chain():
+                    built += [
+                        transforms.support_dt(r),
+                        chain_ops.normalize(nf),
+                        chain_ops.normalize_dt(r),
+                        chain_ops.subset_recognizer(nf),
+                        chain_ops.path_closure_recognizer(nf),
+                    ]
+                for rec in built:
+                    _assert_passes_public_checks(rec)

@@ -1,16 +1,18 @@
 import glob
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lfta import fixtures
+from lfta.automata import NdtAlgebra
 from lfta.errors import ParseError, ValidationError
 from lfta.oracle import enum_trees
 from lfta.recognizers import LNdtRecognizer
 from lfta.terms import parse_tree
 from lfta.workspace import Workspace, _Parser, load, load_text, serialize, state_token, tokenize
 
-from helpers import tokenize_by_characters
+from helpers import random_dt, random_ndt, tokenize_by_characters
 
 GOLDENS = "goldens/fixtures.lfta"
 
@@ -110,6 +112,58 @@ def test_construction_outputs_survive_round_trips():
             again = load_text(serialize(ws)).recognizer(name)
             for t in pool:
                 assert again.degree(t) == rec.degree(t)
+
+
+def _one_recognizer_text(rec):
+    ws = Workspace()
+    ws.add_recognizer("R", rec)
+    return serialize(ws)
+
+
+def test_printing_does_not_follow_memory_order():
+    # rows kept in reverse repr order print as their repr-ordered twin does
+    text = (
+        "chain C4 { 0 < 1/4 < 1/2 < 1 }\n"
+        "alphabet Pair { f/2 ; leaves x y }\n"
+        "lndt N over C4 alphabet Pair { states a b c ; initial a c ;\n"
+        "  trans f a -> b c ; trans f a -> a a ; trans f a -> c b ; trans f b -> c c ; trans f b -> b b ;\n"
+        "  final x : b=1/2 c=1 ; final y : a=1/4 }\n"
+    )
+    ws = load_text(text)
+    rec = ws.recognizer("N")
+    backwards = {
+        f: {a: tuple(sorted(row, key=repr, reverse=True)) for a, row in rows.items()}
+        for f, rows in rec.algebra.transitions.items()
+    }
+    assert backwards["f"]["a"] == (("c", "b"), ("b", "c"), ("a", "a"))
+    algebra = NdtAlgebra._built(rec.alphabet, rec.algebra.states, backwards)
+    twin = Workspace()
+    twin.add_lattice("C4", rec.lattice)
+    twin.add_alphabet("Pair", rec.alphabet)
+    twin.add_recognizer("N", LNdtRecognizer._built(rec.lattice, algebra, rec.initial, rec.weights))
+    assert serialize(twin) == serialize(ws)
+    assert load_text(serialize(load_text(serialize(twin)))) == load_text(serialize(twin)) == ws
+
+
+def test_constructions_print_as_their_public_twins():
+    # a level set and a normalized NDT keep construction order in memory, not repr order
+    from lfta import chain as chain_ops, decide
+
+    from test_transforms import public_twin
+
+    rng = random.Random(17)
+    moved = 0
+    lattice, alph = fixtures.chain4(), fixtures.alphabet_pair()
+    for n in range(6):
+        built = [
+            decide.level_set(random_dt(rng, lattice, alph, max_states=3), rng.choice(lattice.elements)),
+            chain_ops.normalize(random_ndt(rng, lattice, alph, max_states=3, max_choices=3)),
+        ]
+        for rec in built:
+            twin = public_twin(rec)
+            moved += rec.algebra.transitions != twin.algebra.transitions
+            assert _one_recognizer_text(rec) == _one_recognizer_text(twin)
+    assert moved  # some output lists its choices out of repr order
 
 
 def test_chain_block_variants():
