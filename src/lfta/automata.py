@@ -28,46 +28,57 @@ def _check_states(states):
     return states, state_set
 
 
-def _built_algebra(cls, alphabet, states, transitions):
-    """An algebra over tables that lfta built and checked itself, stored unchecked.
-
-    `states` lists distinct states, at least one, and `transitions` is a
-    complete `{symbol: {state: row}}` table over them, in the stored form
-    of `cls`: the rows hold only listed states, with one target per child
-    slot.  The public constructor checks all of this for input from
-    outside.
-    """
-    self = object.__new__(cls)
-    self.alphabet, self.states, self.transitions = alphabet, tuple(states), transitions
-    return self
+def _check_targets(f, m, a, tup, state_set):
+    """The child tuple `tup` of `f` at `a` as a tuple, with one listed state per child slot."""
+    tup = tuple(tup)
+    if len(tup) != m:
+        raise ValidationError(f"transition {f!r}/{a!r} must have {m} targets")
+    for b in tup:
+        if b not in state_set:
+            raise ValidationError(f"unknown target state {b!r}")
+    return tup
 
 
-class DtAlgebra:
-    """Finite deterministic top-down algebra: state -> tuple of child states."""
+class _Algebra:
+    """An alphabet, its states and a row per symbol and state; `_checked_row` is the subclass's row check."""
 
     __slots__ = ("alphabet", "states", "transitions")
 
     def __init__(self, alphabet, states, transitions):
         states, state_set = _check_states(states)
-        table = {}
+        checked_row, table = self._checked_row, {}
         for f, m in alphabet.symbols:
             rows = transitions.get(f, {})
-            table[f] = {}
-            for a in states:
-                if a not in rows:
-                    raise ValidationError(f"missing transition for {f!r} from state {a!r}")
-                tup = tuple(rows[a])
-                if len(tup) != m:
-                    raise ValidationError(f"transition {f!r}/{a!r} must have {m} targets")
-                for b in tup:
-                    if b not in state_set:
-                        raise ValidationError(f"unknown target state {b!r}")
-                table[f][a] = tup
+            table[f] = {a: checked_row(f, m, a, rows, state_set) for a in states}
         self.alphabet = alphabet
         self.states = states
         self.transitions = table
 
-    _built = classmethod(_built_algebra)  # a row is a tuple of child states
+    @classmethod
+    def _built(cls, alphabet, states, transitions):
+        """An algebra over tables that lfta built and checked itself, stored unchecked.
+
+        `states` lists distinct states, at least one, and `transitions` is a
+        complete `{symbol: {state: row}}` table over them, in the stored form
+        of `cls`: the rows hold only listed states, with one target per child
+        slot.
+        """
+        self = object.__new__(cls)
+        self.alphabet, self.states, self.transitions = alphabet, tuple(states), transitions
+        return self
+
+
+class DtAlgebra(_Algebra):
+    """Finite deterministic top-down algebra: state -> tuple of child states."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _checked_row(f, m, a, rows, state_set):
+        """A row is a tuple of child states."""
+        if a not in rows:
+            raise ValidationError(f"missing transition for {f!r} from state {a!r}")
+        return _check_targets(f, m, a, rows[a], state_set)
 
     def step(self, symbol, state):
         return self.transitions[symbol][state]
@@ -105,36 +116,18 @@ class DtAlgebra:
         return state
 
 
-class NdtAlgebra:
+class NdtAlgebra(_Algebra):
     """Finite nondeterministic top-down algebra: state -> set of child tuples."""
 
-    __slots__ = ("alphabet", "states", "transitions")
+    __slots__ = ()
 
-    def __init__(self, alphabet, states, transitions):
-        states, state_set = _check_states(states)
-        table = {}
-        for f, m in alphabet.symbols:
-            rows = transitions.get(f, {})
-            table[f] = {}
-            for a in states:
-                choices = []
-                for tup in rows.get(a, ()):
-                    tup = tuple(tup)
-                    if len(tup) != m:
-                        raise ValidationError(f"transition {f!r}/{a!r} must have {m} targets")
-                    for b in tup:
-                        if b not in state_set:
-                            raise ValidationError(f"unknown target state {b!r}")
-                    choices.append(tup)
-                # input from outside lfta is deduplicated and sorted by text, so its order does not
-                # depend on hashing (one choice is its own order); `_built` keeps a construction's order
-                table[f][a] = tuple(sorted(set(choices), key=repr)) if len(choices) > 1 else tuple(choices)
-        self.alphabet = alphabet
-        self.states = states
-        self.transitions = table
-
-    # a row is a tuple of distinct child tuples, in the order the construction made them
-    _built = classmethod(_built_algebra)
+    @staticmethod
+    def _checked_row(f, m, a, rows, state_set):
+        """A row is a tuple of distinct child tuples, in the order a construction made them."""
+        choices = [_check_targets(f, m, a, tup, state_set) for tup in rows.get(a, ())]
+        # input from outside lfta is deduplicated and sorted by text, so its order does not
+        # depend on hashing (one choice is its own order); `_built` keeps a construction's order
+        return tuple(sorted(set(choices), key=repr)) if len(choices) > 1 else tuple(choices)
 
     def choices(self, symbol, state):
         return self.transitions[symbol][state]
@@ -222,6 +215,22 @@ def explore(alphabet, initial, expand):
                     seen[successor] = None
                     queue.append(successor)
     return list(seen), transitions
+
+
+def _sorted_repr(value):
+    """`repr`, except that frozenset members are written in sorted order.
+
+    A frozenset's own repr follows string hashing; this one does not, and it
+    equals `repr` wherever every frozenset has at most one member.  It is the
+    one key by which every construction that sorts its states sorts them.
+    """
+    if isinstance(value, frozenset):
+        return f"frozenset({{{', '.join(sorted(map(_sorted_repr, value)))}}})" if value else "frozenset()"
+    text = repr(value)
+    if type(value) is not tuple or "frozenset(" not in text:  # a tuple without frozensets is its repr
+        return text
+    inner = ", ".join(map(_sorted_repr, value))
+    return f"({inner},)" if len(value) == 1 else f"({inner})"
 
 
 def subset_algebra(algebra, starts):
@@ -378,46 +387,45 @@ def _check_finals(algebra, final):
     return table
 
 
-def _built_crisp(cls, algebra, initial, final):
-    """A crisp recognizer over values that lfta built and checked itself, stored unchecked.
-
-    `initial` is in the stored form of `cls` (one state, or a frozenset of
-    states), and `final` holds a frozenset of the algebra's states for
-    every leaf.
-    """
-    self = object.__new__(cls)
-    self.algebra, self.initial, self.final = algebra, initial, final
-    return self
-
-
-class DtRecognizer:
-    """Crisp deterministic recognizer: accepted iff every frontier pair is final."""
+class _CrispRecognizer:
+    """An algebra, its start and its final state sets; `_checked_initial` is the subclass's start check."""
 
     __slots__ = ("algebra", "initial", "final")
 
     def __init__(self, algebra, initial, final):
         self.algebra = algebra
-        self.initial = _check_initial(algebra, initial)
+        self.initial = self._checked_initial(algebra, initial)
         self.final = _check_finals(algebra, final)
 
-    _built = classmethod(_built_crisp)
+    @classmethod
+    def _built(cls, algebra, initial, final):
+        """A crisp recognizer over values that lfta built and checked itself, stored unchecked.
+
+        `initial` is in the stored form of `cls` (one state, or a frozenset of
+        states), and `final` holds a frozenset of the algebra's states for
+        every leaf.
+        """
+        self = object.__new__(cls)
+        self.algebra, self.initial, self.final = algebra, initial, final
+        return self
+
+
+class DtRecognizer(_CrispRecognizer):
+    """Crisp deterministic recognizer: accepted iff every frontier pair is final."""
+
+    __slots__ = ()
+    _checked_initial = staticmethod(_check_initial)
 
     def accepts(self, t, start=None):
         start = self.initial if start is None else start
         return all(b in self.final[x] for x, b in self.algebra.leaf_run(t, start))
 
 
-class NdtRecognizer:
+class NdtRecognizer(_CrispRecognizer):
     """Crisp nondeterministic recognizer over an NDT algebra."""
 
-    __slots__ = ("algebra", "initial", "final")
-
-    def __init__(self, algebra, initial, final):
-        self.algebra = algebra
-        self.initial = _check_initial_set(algebra, initial)
-        self.final = _check_finals(algebra, final)
-
-    _built = classmethod(_built_crisp)
+    __slots__ = ()
+    _checked_initial = staticmethod(_check_initial_set)
 
     def accepts(self, t):
         """Whether some run from an initial state ends in final states only: the

@@ -155,21 +155,18 @@ class Lattice:
         return self._join[a][b]
 
     def meet_all(self, xs):
-        xs = list(xs)
-        if not xs:
-            raise EmptySequenceError("meet of an empty sequence")
-        self.check(*xs)
-        table, acc = self._meet, xs[0]
-        for e in xs[1:]:
-            acc = table[acc][e]
-        return acc
+        return self._fold_all(xs, self._meet, "meet")
 
     def join_all(self, xs):
+        return self._fold_all(xs, self._join, "join")
+
+    def _fold_all(self, xs, table, name):
+        """`xs` folded through one of the two operation tables."""
         xs = list(xs)
         if not xs:
-            raise EmptySequenceError("join of an empty sequence")
+            raise EmptySequenceError(f"{name} of an empty sequence")
         self.check(*xs)
-        table, acc = self._join, xs[0]
+        acc = xs[0]
         for e in xs[1:]:
             acc = table[acc][e]
         return acc

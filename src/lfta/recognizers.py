@@ -10,7 +10,7 @@ can always be rewritten into the simple form when the lattice is distributive.
 
 from __future__ import annotations
 
-from .automata import NdtAlgebra, _check_initial, _check_initial_set, _evaluate, explore
+from .automata import NdtAlgebra, _check_initial, _check_initial_set, _check_states, _evaluate, _sorted_repr, explore
 from .errors import (
     AlphabetMismatchError,
     LatticeMismatchError,
@@ -159,8 +159,7 @@ class GeneralLNdtRecognizer:
     __slots__ = ("lattice", "alphabet", "states", "transition_weights", "initial_weights", "weights", "_by_source")
 
     def __init__(self, lattice, alphabet, states, transition_weights, initial_weights, weights):
-        states = tuple(states)
-        state_set = set(states)
+        states, state_set = _check_states(states)
         table = {}
         for f, m in alphabet.symbols:
             rows = {}
@@ -171,6 +170,9 @@ class GeneralLNdtRecognizer:
                 lattice.check(v)
                 rows[(state, tup)] = v
             table[f] = rows
+        for a in initial_weights:
+            if a not in state_set:
+                raise ValidationError(f"initial weight for unknown state {a!r}")
         initial_table = {}
         for a in states:
             v = initial_weights.get(a, lattice.bottom)
@@ -247,7 +249,7 @@ def _capped_construction(rec, initial, options):
         return tuple(row), [child for target in row for child in target]
 
     reached, transitions = explore(rec.alphabet, initial, expand)
-    states = sorted(reached, key=repr)
+    states = sorted(reached, key=_sorted_repr)
     weights = {
         x: {(a, d): meet[rec.weights[x][a]][d] for (a, d) in states}
         for x in rec.alphabet.leaves

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import lattice as lat
-from .automata import DtAlgebra, DtRecognizer, NdtAlgebra, _check_states, explore
+from .automata import DtAlgebra, DtRecognizer, NdtAlgebra, _sorted_repr, explore
 from .errors import ArityMismatchError, ValidationError, ZeroNotIrreducibleError
 from .recognizers import (
     LDtRecognizer,
@@ -159,6 +159,14 @@ def context_quotient(rec, context):
     return _reweighted(rec, rec.lattice, end, met.__getitem__)
 
 
+def _fresh(state, taken):
+    """`state`, wrapped in one-element tuples until it is not in `taken` (the input's states), which it joins."""
+    while state in taken:
+        state = (state,)
+    taken.add(state)
+    return state
+
+
 def context_embed(rec, context):
     """Recognizer scoring context(s) as the original scores s, 0 elsewhere.
 
@@ -171,50 +179,36 @@ def context_embed(rec, context):
     if shape.is_leaf:  # bare hole: context(s) = s
         return LDtRecognizer._built(rec.lattice, rec.algebra, rec.initial, rec.weights)
 
-    def state_of(subtree):
-        if subtree.is_leaf and subtree.symbol == HOLE:
-            return rec.initial
-        return ("ctx", subtree)
-
-    ctx_subtrees = [s for s in shape.subtrees() if not (s.is_leaf and s.symbol == HOLE)]
-    states = list(rec.algebra.states) + sorted((("ctx", s) for s in ctx_subtrees), key=repr) + [DEAD]
+    taken = set(rec.algebra.states)
+    ctx = {  # each context subtree but the hole, and its state
+        s: _fresh(("ctx", s), taken)
+        for s in sorted(shape.subtrees(), key=lambda s: _sorted_repr(("ctx", s)))
+        if not (s.is_leaf and s.symbol == HOLE)
+    }
+    dead = _fresh(DEAD, taken)
+    states = list(rec.algebra.states) + list(ctx.values()) + [dead]
     transitions = {}
     for f, m in rec.alphabet.symbols:
-        rows = {DEAD: (DEAD,) * m}
+        rows = {dead: (dead,) * m}
         for a in rec.algebra.states:
             rows[a] = rec.algebra.step(f, a)
-        for s in ctx_subtrees:
+        for s, state in ctx.items():
             if not s.is_leaf and s.symbol == f:
-                rows[("ctx", s)] = tuple(state_of(c) for c in s.children)
+                rows[state] = tuple(ctx.get(c, rec.initial) for c in s.children)
             else:
-                rows[("ctx", s)] = (DEAD,) * m
+                rows[state] = (dead,) * m
         transitions[f] = rows
-    # the added states can repeat states of an input that these constructions built
-    algebra = DtAlgebra._built(rec.alphabet, _check_states(states)[0], transitions)
+    algebra = DtAlgebra._built(rec.alphabet, states, transitions)
     weights = {}
     for x in rec.alphabet.leaves:
-        row = {DEAD: rec.lattice.bottom}
+        row = {dead: rec.lattice.bottom}
         for a in rec.algebra.states:
             row[a] = rec.weights[x][a]
-        for s in ctx_subtrees:
+        for s, state in ctx.items():
             matches = s.is_leaf and s.symbol == x
-            row[("ctx", s)] = rec.lattice.top if matches else rec.lattice.bottom
+            row[state] = rec.lattice.top if matches else rec.lattice.bottom
         weights[x] = row
-    return LDtRecognizer._built(rec.lattice, algebra, state_of(shape), weights)
-
-
-def _sorted_repr(value):
-    """`repr`, except that frozenset members are written in sorted order.
-
-    A frozenset's own repr follows string hashing; this one does not, and it
-    equals `repr` wherever every frozenset has at most one member.
-    """
-    if isinstance(value, frozenset):
-        return f"frozenset({{{', '.join(sorted(map(_sorted_repr, value)))}}})" if value else "frozenset()"
-    if type(value) is tuple:
-        inner = ", ".join(map(_sorted_repr, value))
-        return f"({inner},)" if len(value) == 1 else f"({inner})"
-    return repr(value)
+    return LDtRecognizer._built(rec.lattice, algebra, ctx[shape], weights)
 
 
 def inverse_hom(rec, hom):
@@ -269,20 +263,20 @@ def alphabetic_image(rec, hom):
     target = hom.target
     preimage_symbol = {hom.symbol_images[f].symbol: f for f, _ in hom.source.symbols}
     preimage_leaf = {hom.leaf_images[x].symbol: x for x in hom.source.leaves}
-    states = list(rec.algebra.states) + [DEAD]
+    dead = _fresh(DEAD, set(rec.algebra.states))
+    states = list(rec.algebra.states) + [dead]
     transitions = {}
     for g, m in target.symbols:
-        rows = {DEAD: (DEAD,) * m}
+        rows = {dead: (dead,) * m}
         f = preimage_symbol.get(g)
         for a in rec.algebra.states:
-            rows[a] = rec.algebra.step(f, a) if f is not None else (DEAD,) * m
+            rows[a] = rec.algebra.step(f, a) if f is not None else (dead,) * m
         transitions[g] = rows
-    # DEAD can repeat a state of an input that these constructions built
-    algebra = DtAlgebra._built(target, _check_states(states)[0], transitions)
+    algebra = DtAlgebra._built(target, states, transitions)
     weights = {}
     for y in target.leaves:
         x = preimage_leaf.get(y)
-        row = {DEAD: rec.lattice.bottom}
+        row = {dead: rec.lattice.bottom}
         for a in rec.algebra.states:
             row[a] = rec.weights[x][a] if x is not None else rec.lattice.bottom
         weights[y] = row
@@ -295,15 +289,20 @@ def scalar(rec, c):
     return _reweighted(rec, rec.lattice, rec.initial, rec.lattice._meet[c].__getitem__)
 
 
+def _crisp_by(rec, test):
+    """Crisp recognizer on `rec`'s algebra and start; a state is final at a leaf whose weight there passes `test`."""
+    final = {
+        x: frozenset(a for a in rec.algebra.states if test(rec.weights[x][a]))
+        for x in rec.alphabet.leaves
+    }
+    return DtRecognizer._built(rec.algebra, rec.initial, final)
+
+
 def cut(rec, c):
     """Crisp recognizer of the trees whose degree is at least `c`."""
     rec.lattice.check(c)
     up = {e for e in rec.lattice.elements if rec.lattice.leq(c, e)}
-    final = {
-        x: frozenset(a for a in rec.algebra.states if rec.weights[x][a] in up)
-        for x in rec.alphabet.leaves
-    }
-    return DtRecognizer._built(rec.algebra, rec.initial, final)
+    return _crisp_by(rec, up.__contains__)
 
 
 def characteristic_dt(crisp, lattice):
@@ -322,11 +321,7 @@ def support_dt(rec):
     """Crisp recognizer of the support; needs meets of nonzeros to stay nonzero."""
     if not rec.lattice.zero_meet_irreducible():
         raise ZeroNotIrreducibleError("two nonzero degrees can meet at 0 in this lattice")
-    final = {
-        x: frozenset(a for a in rec.algebra.states if rec.weights[x][a] != rec.lattice.bottom)
-        for x in rec.alphabet.leaves
-    }
-    return DtRecognizer._built(rec.algebra, rec.initial, final)
+    return _crisp_by(rec, lambda v: v != rec.lattice.bottom)
 
 
 def map_values(rec, morphism):

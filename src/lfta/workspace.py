@@ -117,19 +117,18 @@ class Workspace:
         return self._lookup(self.morphisms, "morphism", name)
 
     def name_of_lattice(self, lattice):
-        for name, lat in self.lattices.items():
-            if lat == lattice:
-                return name
-        name = f"L{len(self.lattices)}"
-        self.add_lattice(name, lattice)
-        return name
+        return self._name_of(self.lattices, "lattice", "L", lattice)
 
     def name_of_alphabet(self, alphabet):
-        for name, alph in self.alphabets.items():
-            if alph == alphabet:
+        return self._name_of(self.alphabets, "alphabet", "A", alphabet)
+
+    def _name_of(self, table, kind, prefix, value):
+        """The first name of `value` in `table`, else a new name `prefix<size>` added for it."""
+        for name, known in table.items():
+            if known == value:
                 return name
-        name = f"A{len(self.alphabets)}"
-        self.add_alphabet(name, alphabet)
+        name = f"{prefix}{len(table)}"
+        self._add(table, kind, name, value)
         return name
 
     def __eq__(self, other):

@@ -21,9 +21,15 @@ rest of the path at every step, kept as the reference for the backward pass
 in `lfta.chain.witness_tree`, and the DT-recognizability test that compares
 every input with its path closure, kept as the reference for the
 deterministic answer of `lfta.chain.is_dt_recognizable`.
+
+`stdout_under_hash_seed` runs a script in a fresh interpreter, for the tests
+that check an output does not follow string hashing.
 """
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product as iproduct
 from math import prod
 
@@ -509,3 +515,18 @@ def join_irreducibles_by_joins(lattice):
         if below != e:
             found.append(e)
     return tuple(found)
+
+
+def stdout_under_hash_seed(hash_seed, script):
+    """The standard output of `script`, run from the repository root by a fresh
+    interpreter with PYTHONHASHSEED fixed and the test modules importable."""
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    path = os.pathsep.join(filter(None, [tests_dir, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=os.path.dirname(tests_dir),
+        env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout

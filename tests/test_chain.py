@@ -16,9 +16,16 @@ from lfta.oracle import (
 )
 from lfta.recognizers import dt_to_ndt, from_finite_language
 from lfta.terms import PathWord, delta, parse_path, parse_tree
-from lfta.workspace import Workspace, load_text
+from lfta.workspace import Workspace, load_text, serialize
 
-from helpers import is_dt_recognizable_by_closure, random_dt, random_ndt, seeded, witness_tree_by_rescans
+from helpers import (
+    is_dt_recognizable_by_closure,
+    random_dt,
+    random_ndt,
+    seeded,
+    stdout_under_hash_seed,
+    witness_tree_by_rescans,
+)
 
 from test_paths import all_paths
 
@@ -401,3 +408,19 @@ def test_normalized_equivalence_reduces_to_unary():
         tree_level = decide.compare(f_rec, g_rec).equivalent
         path_level = decide.compare(paths.to_unary(f_rec), paths.to_unary(g_rec)).equivalent
         assert tree_level == path_level
+
+
+def normalized_closure_text():
+    """The text of a normalized path closure: its states pair frozensets of
+    several states with caps, and so sort differently by `repr` under
+    different string hashes."""
+    nd = random_ndt(seeded(5), fixtures.chain4(), fixtures.alphabet_mixed(), 3)
+    ws = Workspace()
+    ws.add_recognizer("R", chain_ops.normalize(dt_to_ndt(chain_ops.path_closure_recognizer(nd))))
+    return serialize(ws)
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_normalize_state_order_is_independent_of_string_hashing(hash_seed):
+    script = "import sys, test_chain; sys.stdout.buffer.write(test_chain.normalized_closure_text().encode())"
+    assert stdout_under_hash_seed(hash_seed, script) == normalized_closure_text().encode()

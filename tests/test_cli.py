@@ -1,6 +1,5 @@
 import contextlib
 import io
-import os
 import re
 import shlex
 import subprocess
@@ -13,6 +12,8 @@ from lfta.cli import main, run
 from lfta.errors import ArityMismatchError, UnknownCommandError, ValidationError
 from lfta.terms import parse_tree
 from lfta.workspace import load, load_text
+
+from helpers import stdout_under_hash_seed
 
 GOLDENS = "goldens/fixtures.lfta"
 HOMS = "goldens/homs.lfta"
@@ -325,14 +326,5 @@ def test_golden_transcript_is_independent_of_string_hashing(hash_seed):
     """Construction state orders must not follow string hashing, so the
     transcript replays byte for byte in a fresh interpreter under each fixed
     PYTHONHASHSEED."""
-    tests_dir = os.path.dirname(os.path.abspath(__file__))
-    path = os.pathsep.join(filter(None, [tests_dir, os.environ.get("PYTHONPATH")]))
     script = "import sys, test_cli; sys.stdout.buffer.write(test_cli.replay_golden_transcript().encode())"
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        cwd=os.path.dirname(tests_dir),
-        env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path},
-        capture_output=True,
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == golden_transcript().encode()
+    assert stdout_under_hash_seed(hash_seed, script) == golden_transcript().encode()

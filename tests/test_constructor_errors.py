@@ -5,7 +5,7 @@ import pytest
 from lfta import fixtures
 from lfta.automata import DtAlgebra, DtRecognizer, NdtAlgebra, NdtRecognizer
 from lfta.errors import ForeignElementError, ValidationError
-from lfta.recognizers import LDtRecognizer, LNdtRecognizer
+from lfta.recognizers import GeneralLNdtRecognizer, LDtRecognizer, LNdtRecognizer
 
 SOLO = fixtures.alphabet_solo()  # f/2 and the leaf x
 
@@ -72,6 +72,19 @@ def test_ndt_algebra_errors(states, transitions, message):
 )
 def test_recognizer_errors(build, message):
     exc = raised(build)
+    assert type(exc) is ValidationError and str(exc) == message
+
+
+@pytest.mark.parametrize(
+    "states, initial_weights, message",
+    [
+        (["a", "a"], {"a": "1", "zzz": "1"}, "duplicate state"),
+        ([], {}, "empty state set"),
+        (["a"], {"a": "1", "zzz": "1"}, "initial weight for unknown state 'zzz'"),
+    ],
+)
+def test_general_recognizer_errors(states, initial_weights, message):
+    exc = raised(lambda: GeneralLNdtRecognizer(fixtures.b2(), SOLO, states, {}, initial_weights, {"x": {}}))
     assert type(exc) is ValidationError and str(exc) == message
 
 

@@ -1,8 +1,9 @@
 """Tree walks run on an explicit stack; the few functions that still call themselves are listed here.
 
 A function counts as recursive when its body calls it by name, as
-`self.<name>`, or, for `__call__`, as `self(...)`.  `oracle.py` is the
-independent reference and is not scanned.
+`self.<name>`, or, for `__call__`, as `self(...)`, or when it reads its own
+bare name without binding that name itself, as in `map(<name>, ...)`.
+`oracle.py` is the independent reference and is not scanned.
 """
 
 import ast
@@ -15,7 +16,14 @@ ALLOWED = {
     ("automata", "_evaluate.degree"),  # the evaluation kernel: a hot path, one frame per tree level
     ("terms", "parse_tree.node"),  # the CLI's entry point; deep inputs fail here before they cost memory
     ("workspace", "state_token"),  # recurses on the nesting of constructed state names
+    ("automata", "_sorted_repr"),  # recurses on the nesting of constructed states, as state_token does
 }
+
+
+def _bound_names(function):
+    """The names a function binds: its parameters and every name stored anywhere in its body."""
+    names = {arg.arg for arg in ast.walk(function.args) if isinstance(arg, ast.arg)}
+    return names | {n.id for n in ast.walk(function) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
 
 
 def _self_calls(module, tree):
@@ -26,6 +34,10 @@ def _self_calls(module, tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = scope + (node.name,)
             names = {node.name, "self"} if node.name == "__call__" else {node.name}
+            if node.name not in _bound_names(node) and any(
+                isinstance(n, ast.Name) and n.id == node.name and isinstance(n.ctx, ast.Load) for n in ast.walk(node)
+            ):
+                found.add((module, ".".join(scope)))
             for call in ast.walk(node):
                 if not isinstance(call, ast.Call):
                     continue

@@ -10,9 +10,9 @@ from lfta.errors import (
     ZeroNotIrreducibleError,
 )
 from lfta.lattice import LatticeMorphism, product, split_pair_id
-from lfta.oracle import enum_trees, eval_reference_map
+from lfta.oracle import enum_trees, eval_reference, eval_reference_map
 from lfta.recognizers import dt_to_ndt, general_to_simple
-from lfta.terms import RankedAlphabet, Tree, TreeHomomorphism, parse_context, parse_tree, var
+from lfta.terms import HOLE, RankedAlphabet, Tree, TreeHomomorphism, parse_context, parse_tree, var
 
 from helpers import lattice_menu, random_dt, random_general, random_ndt, seeded
 
@@ -480,3 +480,45 @@ def test_constructions_pass_the_public_checks():
                     ]
                 for rec in built:
                     _assert_passes_public_checks(rec)
+
+
+def _unplugged(context, t):
+    """The tree `s` with `context.fill(s) == t`, or None."""
+    stack, plugged = [(context.tree, t)], None
+    while stack:
+        shape, node = stack.pop()
+        if shape.is_leaf and shape.symbol == HOLE:
+            plugged = node
+        elif shape.symbol != node.symbol or len(shape.children) != len(node.children):
+            return None
+        else:
+            stack.extend(zip(shape.children, node.children))
+    return plugged
+
+
+def test_embed_and_image_compose():
+    """Each construction takes the other's output, and its own: the states it
+    adds must not repeat states an earlier one added."""
+    rec = fixtures.matched_leaves()
+    c = parse_context("f(@,y)")
+    swap = TreeHomomorphism(
+        rec.alphabet, rec.alphabet, {"x": Tree("y"), "y": Tree("x")}, {"f": Tree("f", [var(1), var(2)])}
+    )
+    bottom = rec.lattice.bottom
+    # each construction's degree in terms of its input's; `swap` is its own inverse
+    embed = lambda phi: lambda t: bottom if _unplugged(c, t) is None else phi(_unplugged(c, t))
+    image = lambda phi: lambda t: phi(swap(t))
+    reference = lambda t: eval_reference(rec, t)
+    compositions = [
+        (transforms.context_embed(transforms.context_embed(rec, c), c), embed(embed(reference))),
+        (transforms.alphabetic_image(transforms.alphabetic_image(rec, swap), swap), image(image(reference))),
+        (transforms.context_embed(transforms.alphabetic_image(rec, swap), c), embed(image(reference))),
+        (transforms.alphabetic_image(transforms.context_embed(rec, c), swap), image(embed(reference))),
+    ]
+    pool = tree_pool(rec.alphabet, 2)
+    trees = pool + [c.fill(s) for s in pool] + [c.fill(c.fill(s)) for s in pool]
+    trees += [swap(t) for t in trees]
+    for composed, expected in compositions:
+        _assert_passes_public_checks(composed)
+        for t in trees:
+            assert composed.degree(t) == eval_reference(composed, t) == expected(t), t

@@ -46,6 +46,22 @@ def test_loaded_recognizers_match_fixtures():
     assert union.degree(parse_tree("f(x,x)")) == "0"
 
 
+def test_fixture_builders_and_the_golden_file_define_the_same_recognizers():
+    """The unit tests build these from `lfta.fixtures`, the transcript loads them from the golden file."""
+    golden = load([GOLDENS])
+    builders = {
+        "MatchedLeaves": fixtures.matched_leaves,
+        "DeadBranch": fixtures.dead_branch,
+        "DeadBranchMirror": fixtures.dead_branch_mirror,
+        "GradedSquare": fixtures.graded_square,
+    }
+    built, loaded = Workspace(), Workspace()
+    for name, build in builders.items():
+        built.add_recognizer(name, build())
+        loaded.add_recognizer(name, golden.recognizer(name))
+    assert built == loaded
+
+
 def test_round_trip():
     ws = load([GOLDENS])
     text = serialize(ws)
