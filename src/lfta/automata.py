@@ -8,6 +8,7 @@ tuples and frozensets internally and render them to tokens on serialization.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from itertools import product as iproduct
 from math import prod
@@ -111,8 +112,9 @@ class DtAlgebra(_Algebra):
 
     def path_state(self, state, letters):
         """The state reached by descending along the given path letters."""
+        transitions = self.transitions
         for f, i in letters:
-            state = self.step(f, state)[i - 1]
+            state = transitions[f][state][i - 1]
         return state
 
 
@@ -151,47 +153,71 @@ def _evaluate(lattice, weights, options, roots, trees):
     A leaf's degree from a state is its final weight there.  An inner node's
     is the join, over the (child tuple, weight) pairs `options(symbol,
     state)` lists, of the weight met with the children's degrees from the
-    tuple's states.  Top-down and memoized on (subtree, state) for this call
-    only, so only the pairs reachable from the roots are evaluated and each
-    option list is built once.  Bottom absorbs meets and top absorbs joins,
-    so a choice stops at its first child once its meet is bottom, and a join
-    stops at the first choice (or root) that brings it to top: the skipped
-    children and choices cannot change the value.  The lattice tables are
-    read unchecked: the weights were validated at construction.
+    tuple's states.  Top-down, in one loop over an explicit stack, so trees
+    of any height need no recursion.  A frame holds an inner node's
+    children, its memo row, its state, its option list, the index of the
+    next option, the option in hand with the index of its next child and its
+    running meet, and the join of the options done.  A leaf child's weight,
+    and a child already in the memo, are read in place; any other child
+    pushes the frame and starts its own.  Each tree is the one child of a
+    frame above it whose options are the roots, and whose join is stored in
+    the result under the tree.  The memo holds one row `{state: degree}` per
+    subtree, for this call only, so only the pairs reachable from the roots
+    are evaluated, a subtree is looked up once per visit whatever its
+    state, and each option list is built once.  A value enters the memo
+    only when its frame completes.  Bottom absorbs meets and top absorbs
+    joins, so an option stops at its first child once its meet is bottom,
+    and a join stops at the first option (or root) that brings it to top:
+    the skipped children and options cannot change the value.  The lattice
+    tables are read unchecked: the weights were validated at construction.
     """
     meet, join, bottom, top = lattice._meet, lattice._join, lattice.bottom, lattice.top
-    memo, built = {}, {}
-
-    def degree(node, state):
-        if node.is_leaf:
-            return weights[node.symbol][state]
-        key = (node, state)
-        got = memo.get(key)
-        if got is None:
-            got = bottom
-            pair = (node.symbol, state)
-            listed = built.get(pair)
-            if listed is None:
-                listed = built[pair] = options(*pair)
-            for tup, c in listed:
-                for child, b in zip(node.children, tup):
-                    if c == bottom:
-                        break
-                    c = meet[c][degree(child, b)]
-                got = join[got][c]
-                if got == top:
-                    break
-            memo[key] = got
-        return got
-
-    out = {}
+    memo, built, out = {}, {}, {}
+    above = [((a,), c) for a, c in roots]  # the options of the frame above each tree
     for t in trees:
-        got = bottom
-        for a, c in roots:
-            got = join[got][meet[c][degree(t, a)]]
-            if got == top:
+        # the frame above `t`, whose memo row is the result; `stack` holds the frames that wait
+        children, row, state, listed, stack = (t,), out, t, above, []
+        got, k, i = bottom, 1, 0
+        tup, c = listed[0] if listed else ((), bottom)
+        while True:
+            if c != bottom and i < len(tup):
+                child, b = children[i], tup[i]
+                i += 1
+                kids = child.children
+                if not kids:
+                    c = meet[c][weights[child.symbol][b]]
+                    continue
+                below = memo.get(child)
+                if below is None:
+                    below = memo[child] = {}
+                else:
+                    value = below.get(b)
+                    if value is not None:
+                        c = meet[c][value]
+                        continue
+                # a new frame for `child`, whose memo row lacks `b`, with its first option in
+                # hand; with none, an empty option of meet bottom stands in
+                stack.append((children, row, state, listed, k, tup, i, c, got))
+                pair = (child.symbol, b)
+                listed = built.get(pair)
+                if listed is None:
+                    listed = built[pair] = options(*pair)
+                children, row, state = kids, below, b
+                got, k, i = bottom, 1, 0
+                tup, c = listed[0] if listed else ((), bottom)
+                continue
+            # the option in hand is done
+            got = join[got][c]
+            if got != top and k < len(listed):
+                tup, c = listed[k]
+                k += 1
+                i = 0
+                continue
+            row[state] = value = got
+            if not stack:
                 break
-        out[t] = got
+            children, row, state, listed, k, tup, i, c, got = stack.pop()
+            c = meet[c][value]
     return out
 
 
@@ -231,6 +257,24 @@ def _sorted_repr(value):
         return text
     inner = ", ".join(map(_sorted_repr, value))
     return f"({inner},)" if len(value) == 1 else f"({inner})"
+
+
+_NOT_IN_NAME = re.compile(r"[\s{};:=<#]")  # what a state name may not hold in a workspace file
+
+
+def state_token(state):
+    """Deterministic token for a (possibly structured) state name.
+
+    The name a workspace file gives the state; `transforms._fresh` keeps
+    the states a construction adds apart from the input's by it too.
+    """
+    if isinstance(state, frozenset):
+        return "[" + ",".join(sorted(state_token(e) for e in state)) + "]"
+    if isinstance(state, tuple):
+        return "(" + ",".join(state_token(e) for e in state) + ")"
+    if isinstance(state, Tree):
+        return str(state)
+    return _NOT_IN_NAME.sub("_", str(state))
 
 
 def subset_algebra(algebra, starts):

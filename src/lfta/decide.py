@@ -110,7 +110,7 @@ def pump_decompose(rec, t):
     decomposition = PumpDecomposition(prefix, loop, suffix)
 
     # the checks walk the run frontier: on a spine no (subtree, state) pair
-    # repeats, so the memo of the recursive kernel would not pay for itself
+    # repeats, so the memo of the kernel would not pay for itself
     assert decomposition.pumped(1) == t, "decomposition does not rebuild the tree"
     base = rec.degree_by_paths(t)
     for k in range(4):

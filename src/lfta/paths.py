@@ -12,7 +12,7 @@ from __future__ import annotations
 from .automata import DtAlgebra
 from .errors import AlphabetMismatchError
 from .recognizers import LDtRecognizer
-from .terms import PathWord, RankedAlphabet, Tree, delta
+from .terms import PathWord, RankedAlphabet, Tree, _path_words
 
 
 def letter_name(letter):
@@ -85,5 +85,9 @@ def path_degree(rec, path, start=None):
 
 
 def degree_via_path_language(rec, t):
-    """Tree degree as the meet of its path degrees (agrees with rec.degree)."""
-    return rec.lattice.meet_all(path_degree(rec, r) for r in delta(t))
+    """Tree degree as the meet of its path degrees (agrees with rec.degree).
+
+    Meet is commutative and idempotent, so the paths are met in the order
+    the tree's walk lists them, unsorted.
+    """
+    return rec.lattice.meet_all(path_degree(rec, r) for r in _path_words(t))

@@ -49,8 +49,9 @@ class Tree:
     def height(self):
         h = self._height
         if h is None:
-            h = 0 if self.is_leaf else 1 + max(c.height for c in self.children)
-            _set_height(self, h)
+            for node in _uncached_postorder(self, _get_height):
+                _set_height(node, 1 + max(map(_get_height, node.children)) if node.children else 0)
+            h = self._height
         return h
 
     def _preorder(self):
@@ -65,8 +66,7 @@ class Tree:
             stack.extend(reversed(node.children))
 
     def subtrees(self):
-        # children are hashed before their parents, so each hash is one level deep
-        return set(reversed(list(self._preorder())))
+        return set(self._preorder())
 
     def leaf_set(self):
         return {node.symbol for node in self._preorder() if not node.children}
@@ -90,8 +90,9 @@ class Tree:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.symbol, self.children))
-            _set_hash(self, h)
+            for node in _uncached_postorder(self, _get_hash):
+                _set_hash(node, hash((node.symbol, node.children)))  # the children's hashes are cached
+            h = self._hash
         return h
 
     def __str__(self):
@@ -127,6 +128,29 @@ _set_symbol, _set_children, _set_hash, _set_height = (
     Tree._height.__set__,
 )
 _children = attrgetter("children")
+_get_hash, _get_height = attrgetter("_hash"), attrgetter("_height")
+
+
+def _uncached_postorder(root, cached):
+    """Yield the nodes of `root` whose lazy cache `cached(node)` is None, children first.
+
+    The caller fills each node's cache as it is yielded, from its
+    children's: a node comes after all of its children are filled, and a
+    node shared by several parents comes once.  Caches fill bottom-up, so a
+    filled node's subtree is filled too and is not entered.  One pass with
+    an explicit stack, so deep trees need no recursion; a None on the stack
+    marks the node beneath it as ready once its children are done.
+    """
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            node = stack.pop()
+            if cached(node) is None:
+                yield node
+        elif cached(node) is None:
+            stack += (node, None)
+            stack += node.children
 
 
 def _fold(root, children, combine):
@@ -307,8 +331,17 @@ def parse_path(text):
 
 def delta(t):
     """All root-to-leaf path words of `t`, sorted for reproducibility."""
+    return tuple(sorted(_path_words(t), key=str))
+
+
+def _path_words(t):
+    """The root-to-leaf path words of `t`, one per leaf, unsorted: for a meet, whose order does not matter.
+
+    Each path word names its leaf's position, so no two are equal and the
+    list is the set of paths.
+    """
     # a stack entry is a node, the length of its parent's path and the letter into it
-    out, prefix, stack = set(), [], [(t, 0, None)]
+    out, prefix, stack = [], [], [(t, 0, None)]
     while stack:
         node, depth, letter = stack.pop()
         del prefix[depth:]
@@ -318,8 +351,8 @@ def delta(t):
             symbol, below = node.symbol, len(prefix)
             stack += [(c, below, (symbol, i)) for i, c in enumerate(node.children, start=1)]
         else:
-            out.add(PathWord(tuple(prefix), node.symbol))
-    return tuple(sorted(out, key=str))
+            out.append(PathWord(tuple(prefix), node.symbol))
+    return out
 
 
 # -- contexts -----------------------------------------------------------

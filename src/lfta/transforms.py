@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import lattice as lat
-from .automata import DtAlgebra, DtRecognizer, NdtAlgebra, _sorted_repr, explore
+from .automata import DtAlgebra, DtRecognizer, NdtAlgebra, _sorted_repr, explore, state_token
 from .errors import ArityMismatchError, ValidationError, ZeroNotIrreducibleError
 from .recognizers import (
     LDtRecognizer,
@@ -160,10 +160,17 @@ def context_quotient(rec, context):
 
 
 def _fresh(state, taken):
-    """`state`, wrapped in one-element tuples until it is not in `taken` (the input's states), which it joins."""
-    while state in taken:
+    """`state`, wrapped in one-element tuples until its token is not in `taken`, which it joins.
+
+    `taken` starts as the tokens of the input's states.  Equal states render
+    alike, so a fresh token makes a fresh state, and one that a workspace
+    file can still tell apart from the input's states once reloaded.
+    """
+    token = state_token(state)
+    while token in taken:
         state = (state,)
-    taken.add(state)
+        token = state_token(state)
+    taken.add(token)
     return state
 
 
@@ -179,7 +186,7 @@ def context_embed(rec, context):
     if shape.is_leaf:  # bare hole: context(s) = s
         return LDtRecognizer._built(rec.lattice, rec.algebra, rec.initial, rec.weights)
 
-    taken = set(rec.algebra.states)
+    taken = set(map(state_token, rec.algebra.states))
     ctx = {  # each context subtree but the hole, and its state
         s: _fresh(("ctx", s), taken)
         for s in sorted(shape.subtrees(), key=lambda s: _sorted_repr(("ctx", s)))
@@ -263,7 +270,7 @@ def alphabetic_image(rec, hom):
     target = hom.target
     preimage_symbol = {hom.symbol_images[f].symbol: f for f, _ in hom.source.symbols}
     preimage_leaf = {hom.leaf_images[x].symbol: x for x in hom.source.leaves}
-    dead = _fresh(DEAD, set(rec.algebra.states))
+    dead = _fresh(DEAD, set(map(state_token, rec.algebra.states)))
     states = list(rec.algebra.states) + [dead]
     transitions = {}
     for g, m in target.symbols:

@@ -25,11 +25,11 @@ from __future__ import annotations
 import re
 from functools import reduce
 
-from .automata import DtAlgebra, DtRecognizer, NdtAlgebra, NdtRecognizer
+from .automata import DtAlgebra, DtRecognizer, NdtAlgebra, NdtRecognizer, state_token
 from .errors import FuzzyTreeError, ParseError, ValidationError
 from .lattice import Lattice, LatticeMorphism, chain as make_chain
 from .recognizers import LDtRecognizer, LNdtRecognizer
-from .terms import RankedAlphabet, Tree, TreeHomomorphism, parse_tree
+from .terms import RankedAlphabet, TreeHomomorphism, parse_tree
 
 _TOKEN = re.compile(r"[{};:]|[^ \t\r\n{};:#]+")
 _COMMENT = re.compile(r"#[^\n]*")
@@ -46,17 +46,6 @@ def tokenize(text):
         for line, body in enumerate(text.split("\n"), 1)
         for m in _TOKEN.finditer(body.partition("#")[0])
     ]
-
-
-def state_token(state):
-    """Deterministic token for a (possibly structured) state name."""
-    if isinstance(state, frozenset):
-        return "[" + ",".join(sorted(state_token(e) for e in state)) + "]"
-    if isinstance(state, tuple):
-        return "(" + ",".join(state_token(e) for e in state) + ")"
-    if isinstance(state, Tree):
-        return str(state)
-    return re.sub(r"[\s{};:=<#]", "_", str(state))
 
 
 class Workspace:

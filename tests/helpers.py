@@ -130,6 +130,27 @@ def spine_tree(alphabet, height, filler=None):
     return t
 
 
+def spine_degrees(lattice, alphabet, weights, options, states, height):
+    """Each state's degree of `spine_tree(alphabet, height)`, one level at a
+    time: the reference for spines too deep for the oracle's recursion.
+
+    `options(a)` lists the (child tuple, weight) pairs of the spine's symbol
+    at state `a`; the spine goes down the first child, and every other child
+    is the filler leaf.
+    """
+    row = weights[alphabet.leaves[0]]
+    vector = dict(row)
+    for _ in range(height):
+        vector = {
+            a: lattice.join_all(
+                [lattice.bottom]
+                + [lattice.meet_all([c, vector[tup[0]]] + [row[b] for b in tup[1:]]) for tup, c in options(a)]
+            )
+            for a in states
+        }
+    return vector
+
+
 def caterpillar(rng, alphabet, height):
     """A spine of `height` random symbols with random side subtrees of height <= 3."""
     t = random_tree(rng, alphabet, 2)
@@ -140,20 +161,33 @@ def caterpillar(rng, alphabet, height):
     return t
 
 
-class CountingTree(Tree):
-    """A tree whose nodes count, in `asked`, how often they are asked `is_leaf`.
+_raw_children = Tree.children.__get__  # the slot itself, read without counting
 
-    The evaluation kernels ask once per (subtree, state) visit, memo hits
-    included.
+
+class CountingTree(Tree):
+    """A tree whose nodes count, in `asked`, how often their children are read.
+
+    Both evaluation kernels read a node's children once per (subtree, state)
+    visit, memo hits and leaves included.  Equality reads them uncounted,
+    so a memo lookup that compares two equal subtrees adds nothing; a
+    caller hashes the trees before it counts, since a first hash reads
+    every node's children once.
     """
 
     __slots__ = ()
     asked = 0
 
     @property
-    def is_leaf(self):
+    def children(self):
         CountingTree.asked += 1
-        return not self.children
+        return _raw_children(self)
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, Tree) and self.symbol == other.symbol and _raw_children(self) == _raw_children(other)
+        )
+
+    __hash__ = Tree.__hash__
 
 
 def counting_copy(t):
@@ -308,13 +342,17 @@ def witness_tree_by_rescans(rec, path):
 
 
 def eager_evaluate(lattice, weights, options, roots, trees):
-    """`automata._evaluate` as it was before its absorbing short-circuits:
-    every child of every choice, and every choice and root, is evaluated."""
+    """`automata._evaluate` as it was before its absorbing short-circuits,
+    its explicit stack and its memo rows: every child of every choice, and
+    every choice and root, is evaluated, by recursion, with one memo entry
+    per (subtree, state) pair.  It reads a node's children once per visit,
+    as the kernel does."""
     meet, join, bottom = lattice._meet, lattice._join, lattice.bottom
     memo, built = {}, {}
 
     def degree(node, state):
-        if node.is_leaf:
+        children = node.children
+        if not children:
             return weights[node.symbol][state]
         key = (node, state)
         got = memo.get(key)
@@ -325,7 +363,7 @@ def eager_evaluate(lattice, weights, options, roots, trees):
             if listed is None:
                 listed = built[pair] = options(*pair)
             for tup, c in listed:
-                for child, b in zip(node.children, tup):
+                for child, b in zip(children, tup):
                     c = meet[c][degree(child, b)]
                 got = join[got][c]
             memo[key] = got

@@ -12,7 +12,7 @@ from lfta.automata import (
 from lfta.errors import ValidationError
 from lfta.terms import RankedAlphabet, Tree, parse_tree
 
-from helpers import accepting_states, random_tree, seeded, spine_tree
+from helpers import accepting_states, random_ndt, random_tree, seeded, spine_degrees, spine_tree
 
 
 def dead_branch_algebra():
@@ -64,6 +64,23 @@ def test_leaf_run_and_accepts_on_deep_spine():
     assert algebra.leaf_run(odd, "a") == {("x", "b")}
     rec = DtRecognizer(algebra, "a", {"x": ["a"]})
     assert rec.accepts(even) and not rec.accepts(odd)
+
+
+def test_crisp_ndt_accepts_on_deep_spine():
+    rng = seeded(97)
+    alph, b2 = fixtures.alphabet_mixed(), fixtures.b2()
+    spine = spine_tree(alph, 10**4)
+    answers = set()
+    for _ in range(6):
+        weighted = random_ndt(rng, b2, alph, max_choices=3)
+        algebra = weighted.algebra
+        final = {x: [a for a, v in row.items() if v == "1"] for x, row in weighted.weights.items()}
+        rec = NdtRecognizer(algebra, weighted.initial, final)
+        options = lambda a: [(tup, "1") for tup in algebra.choices("f", a)]
+        vector = spine_degrees(b2, alph, weighted.weights, options, algebra.states, 10**4)
+        answers.add(rec.accepts(spine))
+        assert rec.accepts(spine) == any(vector[a] == "1" for a in rec.initial)
+    assert answers == {True, False}
 
 
 def test_path_state():

@@ -114,6 +114,27 @@ def test_every_transform_subcommand():
     assert not crisp.accepts(parse_tree("f(x,x)"))
 
 
+@pytest.mark.parametrize(
+    "kind, operand, scores",
+    [
+        ("embed", "f(@,y)", {"f(f(f(f(x,x),y),y),y)": "c", "f(f(f(f(y,y),y),y),y)": "d", "f(x,x)": "0"}),
+        ("image", "swap", {"f(y,y)": "c", "f(x,x)": "d", "f(x,y)": "0"}),  # swap thrice is swap
+    ],
+)
+def test_embed_and_image_apply_to_their_own_reloaded_output(tmp_path, capsys, kind, operand, scores):
+    # each round prints its recognizer to a file that the next round loads: the states a
+    # round adds must render unlike the reloaded ones, which are plain names by then
+    files, source = ["-f", GOLDENS, "-f", HOMS], "MatchedLeaves"
+    for name in ("R1", "R2", "R3"):
+        assert main([*files, "transform", kind, source, operand, "--as", name]) == 0
+        path = tmp_path / f"{name}.lfta"
+        path.write_text(capsys.readouterr().out)
+        files, source = files + ["-f", str(path)], name
+    for tree, expected in scores.items():
+        assert main([*files, "eval", "R3", tree]) == 0
+        assert capsys.readouterr().out == f"{expected}\n"
+
+
 def test_range_and_levels():
     report, _ = run("range", ["MatchedLeaves"], ws())
     assert report.splitlines() == ["0", "c", "d"]

@@ -75,6 +75,17 @@ def test_pump_decompose_random_population():
         assert all(rec.degree(d.pumped(k)) == base for k in range(4))
 
 
+def test_pump_decompose_on_deep_spine():
+    # the pumps share the spine below the loop, so their checks compare only the path above it
+    rng = seeded(79)
+    t = spine_tree(fixtures.alphabet_mixed(), 10**4)
+    for _ in range(5):
+        rec = random_dt(rng, rng.choice(lattice_menu()), fixtures.alphabet_mixed())
+        d = decide.pump_decompose(rec, t)
+        assert d.loop.depth >= 1
+        assert rec.degree(d.pumped(2)) == rec.degree_by_paths(t)
+
+
 def test_pump_loop_keeps_the_context_degree():
     """The loop starts and ends where the context degree above the hole is the same."""
     rng = seeded(71)

@@ -5,7 +5,7 @@ from lfta.errors import AlphabetMismatchError
 from lfta.oracle import enum_trees, eval_reference_map, path_image
 from lfta.terms import PathWord, parse_path, parse_tree
 
-from helpers import lattice_menu, random_dt, random_tree, seeded
+from helpers import caterpillar, lattice_menu, n5, random_dt, random_tree, seeded
 
 
 def all_paths(alphabet, max_len):
@@ -72,6 +72,17 @@ def test_degree_via_path_language():
         for _ in range(8):
             t = random_tree(rng, rec.alphabet, 3)
             assert paths.degree_via_path_language(rec, t) == rec.degree(t)
+
+
+def test_degree_via_path_language_matches_degree_on_pools_and_caterpillars():
+    rng = seeded(101)
+    for alph in (fixtures.alphabet_mixed(), fixtures.alphabet_ternary()):
+        pool = enum_trees(alph, 2)
+        trees = pool + [caterpillar(rng, alph, 30) for _ in range(3)]
+        for lat in lattice_menu() + [n5()]:
+            for _ in range(2):
+                rec = random_dt(rng, lat, alph)
+                assert {t: paths.degree_via_path_language(rec, t) for t in trees} == rec.degree_map(trees)
 
 
 def test_path_image_never_exceeds_path_degree():

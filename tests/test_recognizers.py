@@ -27,6 +27,7 @@ from helpers import (
     random_ndt,
     random_tree,
     seeded,
+    spine_degrees,
     spine_tree,
 )
 
@@ -344,6 +345,8 @@ def test_absorbing_kernel_matches_eager_kernel_on_caterpillars(monkeypatch):
     rng = seeded(53)
     alph = fixtures.alphabet_mixed()
     trees = [counting_copy(caterpillar(rng, alph, 40)) for _ in range(4)]
+    for t in trees:
+        hash(t)  # a first hash reads every node's children: done here, before counting
     skipped = 0
     for rec in absorbing_cases(59):
         CountingTree.asked = 0
@@ -353,7 +356,7 @@ def test_absorbing_kernel_matches_eager_kernel_on_caterpillars(monkeypatch):
             m.setattr(recognizers, "_evaluate", eager_evaluate)
             CountingTree.asked = 0
             assert got == rec.degree_map(trees)
-        assert visits <= CountingTree.asked
+        assert 0 < visits <= CountingTree.asked
         skipped += CountingTree.asked - visits
     assert skipped > 0, "no short-circuit fired"
 
@@ -375,6 +378,34 @@ def test_degree_by_paths_on_deep_spine():
     rec = LDtRecognizer(fixtures.chain3(), algebra, "a", {"x": {"a": "1", "b": "d"}})
     assert rec.degree_by_paths(spine_tree(alph, 10**4)) == "1"
     assert rec.degree_by_paths(spine_tree(alph, 10**4 + 1)) == "d"
+
+
+def test_degrees_on_deep_spine():
+    """DT, NDT and general degrees of a spine of height 10**4, against the path route and level-by-level vectors."""
+    rng = seeded(89)
+    alph = fixtures.alphabet_mixed()
+    n = 10**4
+    spine = spine_tree(alph, n)
+    seen = set()
+    for lat in (fixtures.chain4(), fixtures.diamond()):
+        top = lat.top
+        for _ in range(2):
+            dt = random_dt(rng, lat, alph)
+            want = dt.degree_by_paths(spine)
+            assert dt.degree(spine) == dt.degree_map([spine])[spine] == want
+            assert dt_to_ndt(dt).degree(spine) == want
+            ndt = random_ndt(rng, lat, alph, max_choices=3)
+            options = lambda a: [(tup, top) for tup in ndt.algebra.choices("f", a)]
+            vector = spine_degrees(lat, alph, ndt.weights, options, ndt.algebra.states, n)
+            want = lat.join_all([vector[a] for a in ndt.initial])
+            assert ndt.degree(spine) == ndt.degree_map([spine])[spine] == want
+            seen.add(want)
+            general = random_general(rng, lat, alph)
+            vector = spine_degrees(lat, alph, general.weights, lambda a: general._options("f", a), general.states, n)
+            want = lat.join_all(lat.meet(general.initial_weights[a], vector[a]) for a in general.states)
+            assert general.degree(spine) == general.degree_map([spine])[spine] == want
+            seen.add(want)
+    assert len(seen) > 1, "every deep degree is the same value"
 
 
 def test_context_degree_on_deep_spine():

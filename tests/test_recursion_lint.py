@@ -13,9 +13,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "lfta"
 
 # (module, qualified name) of each function allowed to call itself, and why
 ALLOWED = {
-    ("automata", "_evaluate.degree"),  # the evaluation kernel: a hot path, one frame per tree level
     ("terms", "parse_tree.node"),  # the CLI's entry point; deep inputs fail here before they cost memory
-    ("workspace", "state_token"),  # recurses on the nesting of constructed state names
+    ("automata", "state_token"),  # recurses on the nesting of constructed state names
     ("automata", "_sorted_repr"),  # recurses on the nesting of constructed states, as state_token does
 }
 

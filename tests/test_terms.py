@@ -16,6 +16,7 @@ from lfta.terms import (
     RankedAlphabet,
     Tree,
     TreeHomomorphism,
+    _path_words,
     context_at,
     delta,
     hole,
@@ -96,6 +97,17 @@ def test_delta_counts_leaves():
         assert all(len(p) <= t.height for p in paths)
 
 
+def test_delta_is_the_path_set_sorted_by_text():
+    rng = seeded(7)
+    for alph in (fixtures.alphabet_mixed(), fixtures.alphabet_ternary()):
+        for _ in range(30):
+            t = random_tree(rng, alph, 4)
+            got = delta(t)
+            assert type(got) is tuple and list(got) == sorted(got, key=str)
+            words = _path_words(t)
+            assert len(words) == len(got) and set(words) == set(got)
+
+
 def test_path_parse_round_trip():
     p = parse_path("f.1 g.1 f.1 x")
     assert p.letters == (("f", 1), ("g", 1), ("f", 1))
@@ -147,12 +159,37 @@ def test_walks_on_deep_spine():
     run = algebra.run(t, "a")
     assert run.leaves() == [("x", "a")] and run.size() == n + 1
     chain4 = fixtures.chain4()
-    # the support dict needs the tree's hash, which `subtrees()` above cached level by level
+    # the support dict hashes the deep tree
     spine_language = from_finite_language(chain4, alph, {t: "1/2"})
     assert len(spine_language.algebra.states) == n + 1
     assert spine_language.weights["x"][f"t0{'.1' * n}"] == "1/2"
     with pytest.raises(ValidationError):
         Context(t)
+
+
+def test_hash_and_height_fill_bottom_up_on_any_shape():
+    def height(node):
+        return 0 if not node.children else 1 + max(height(c) for c in node.children)
+
+    rng = seeded(13)
+    for _ in range(40):
+        t = random_tree(rng, fixtures.alphabet_ternary(), 4)
+        fresh = Tree(t.symbol, t.children)  # children already hashed: one level deep
+        assert hash(t) == hash(fresh) == hash((t.symbol, t.children))
+        assert t.height == height(t)
+    n = 10**4
+    alph = fixtures.alphabet_mixed()
+    spine = spine_tree(alph, n)
+    assert spine.height == n
+    twin = Tree("x")  # the same spine, hashed one level at a time as it grows
+    for _ in range(n):
+        twin = Tree("f", [twin, Tree("x")])
+        hash(twin)
+    assert hash(spine) == hash(twin)  # `==` itself still recurses (ROADMAP item 3)
+    shared = Tree("x")  # a node shared by both children at every level: 2**200 paths, 201 nodes
+    for _ in range(200):
+        shared = Tree("f", [shared, shared])
+    assert shared.height == 200 and hash(shared) == hash(("f", shared.children))
 
 
 def test_deep_witness_pads_a_path_with_no_choices():
