@@ -460,9 +460,8 @@ class DtRecognizer(_CrispRecognizer):
     __slots__ = ()
     _checked_initial = staticmethod(_check_initial)
 
-    def accepts(self, t, start=None):
-        start = self.initial if start is None else start
-        return all(b in self.final[x] for x, b in self.algebra.leaf_run(t, start))
+    def accepts(self, t):
+        return all(b in self.final[x] for x, b in self.algebra.leaf_run(t, self.initial))
 
 
 class NdtRecognizer(_CrispRecognizer):

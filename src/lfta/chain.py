@@ -19,8 +19,6 @@ from .paths import path_degree
 from .recognizers import LDtRecognizer, _capped_construction, dt_to_ndt
 from .terms import Tree
 
-MAX_ROUNDS_SLACK = 1
-
 
 def require_chain(lattice):
     if not lattice.is_chain():
@@ -28,11 +26,11 @@ def require_chain(lattice):
 
 
 def _argmax(lat, items, value_of):
-    """First item with the greatest value under the lattice order."""
-    best_item = best_value = None
+    """First item with the greatest value under the lattice order, read off the join table."""
+    join, best_item, best_value = lat._join, None, None
     for item in items:
         v = value_of(item)
-        if best_value is None or (lat.leq(best_value, v) and v != best_value):
+        if best_value is None or (join[best_value][v] == v and v != best_value):
             best_item, best_value = item, v
     return best_item
 
@@ -65,7 +63,8 @@ def max_values(rec):
         best_leaf = _argmax(lat, rec.alphabet.leaves, lambda x: rec.weights[x][a])
         values[a] = rec.weights[best_leaf][a]
         witnesses[a] = Tree(best_leaf)
-    cap = len(rec.algebra.states) * max(1, len(rec.final_weights())) + MAX_ROUNDS_SLACK
+    # one round more than the bound: the last round only confirms that nothing changed
+    cap = len(rec.algebra.states) * max(1, len(rec.final_weights())) + 1
     for _ in range(cap):
         changed = False
         for f, _ in rec.alphabet.symbols:
@@ -85,7 +84,11 @@ def max_values(rec):
 
 def is_normalized(rec):
     """Whether sibling states under every transition share the same best degree."""
-    table = max_values(rec)
+    return _is_normalized(rec, max_values(rec))
+
+
+def _is_normalized(rec, table):
+    """`is_normalized` against the best-degree table `max_values(rec)` the caller holds."""
     for f, _ in rec.alphabet.symbols:
         for a in rec.algebra.states:
             for tup in rec.algebra.choices(f, a):
@@ -139,11 +142,10 @@ def path_degree_ndt(rec, path, start=None):
     """Best final weight over all states the path can lead to (0 if none),
     from the state `start` or, when it is None, from every initial state."""
     require_chain(rec.lattice)
-    lat = rec.lattice
-    best = lat.bottom
+    join, best = rec.lattice._join, rec.lattice.bottom  # the weights were validated at construction
     for a in rec.initial if start is None else (start,):
         for b in rec.algebra.path_states(a, path.letters):
-            best = lat.join(best, rec.weights[path.leaf][b])
+            best = join[best][rec.weights[path.leaf][b]]
     return best
 
 
@@ -207,12 +209,11 @@ def witness_tree(rec, path):
     `path_degree_ndt` of that suffix), so the walk down reads each choice's
     score instead of rescoring the suffix.
     """
-    require_chain(rec.lattice)
-    if not is_normalized(rec):
+    table = max_values(rec)
+    if not _is_normalized(rec, table):
         raise NotNormalizedError("witness construction needs a normalized recognizer")
     lat = rec.lattice
     join, bottom = lat._join, lat.bottom
-    table = max_values(rec)
     filler = Tree(rec.alphabet.leaves[0])
     letters, choices = path.letters, rec.algebra.choices
     best = [None] * len(letters) + [rec.weights[path.leaf]]

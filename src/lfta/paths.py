@@ -12,7 +12,7 @@ from __future__ import annotations
 from .automata import DtAlgebra
 from .errors import AlphabetMismatchError
 from .recognizers import LDtRecognizer
-from .terms import PathWord, RankedAlphabet, Tree, _path_words
+from .terms import PathWord, RankedAlphabet, Tree
 
 
 def letter_name(letter):
@@ -87,7 +87,8 @@ def path_degree(rec, path, start=None):
 def degree_via_path_language(rec, t):
     """Tree degree as the meet of its path degrees (agrees with rec.degree).
 
-    Meet is commutative and idempotent, so the paths are met in the order
-    the tree's walk lists them, unsorted.
+    This is the meet over the run frontier: each root-to-leaf path ends at
+    one frontier pair (its leaf, its end state), whose final weight is the
+    path's degree, and the prefixes that several paths share are walked once.
     """
-    return rec.lattice.meet_all(path_degree(rec, r) for r in _path_words(t))
+    return rec.degree_by_paths(t)

@@ -330,15 +330,10 @@ def parse_path(text):
 
 
 def delta(t):
-    """All root-to-leaf path words of `t`, sorted for reproducibility."""
-    return tuple(sorted(_path_words(t), key=str))
-
-
-def _path_words(t):
-    """The root-to-leaf path words of `t`, one per leaf, unsorted: for a meet, whose order does not matter.
+    """All root-to-leaf path words of `t`, sorted for reproducibility.
 
     Each path word names its leaf's position, so no two are equal and the
-    list is the set of paths.
+    tuple is the set of paths.
     """
     # a stack entry is a node, the length of its parent's path and the letter into it
     out, prefix, stack = [], [], [(t, 0, None)]
@@ -352,7 +347,7 @@ def _path_words(t):
             stack += [(c, below, (symbol, i)) for i, c in enumerate(node.children, start=1)]
         else:
             out.append(PathWord(tuple(prefix), node.symbol))
-    return out
+    return tuple(sorted(out, key=str))
 
 
 # -- contexts -----------------------------------------------------------

@@ -3,9 +3,9 @@ import pytest
 from lfta import decide, fixtures, paths
 from lfta.errors import AlphabetMismatchError
 from lfta.oracle import enum_trees, eval_reference_map, path_image
-from lfta.terms import PathWord, parse_path, parse_tree
+from lfta.terms import PathWord, delta, parse_path, parse_tree
 
-from helpers import caterpillar, lattice_menu, n5, random_dt, random_tree, seeded
+from helpers import caterpillar, lattice_menu, n5, random_dt, random_tree, seeded, spine_degrees, spine_tree
 
 
 def all_paths(alphabet, max_len):
@@ -83,6 +83,32 @@ def test_degree_via_path_language_matches_degree_on_pools_and_caterpillars():
             for _ in range(2):
                 rec = random_dt(rng, lat, alph)
                 assert {t: paths.degree_via_path_language(rec, t) for t in trees} == rec.degree_map(trees)
+
+
+def test_degree_via_path_language_is_the_meet_of_path_degrees():
+    """The definition: a DT recognizer scores a tree with the meet of the degrees of its paths."""
+    rng = seeded(103)
+    for alph in (fixtures.alphabet_mixed(), fixtures.alphabet_ternary()):
+        trees = enum_trees(alph, 2) + [caterpillar(rng, alph, 30) for _ in range(2)]
+        for lat in lattice_menu() + [n5()]:
+            rec = random_dt(rng, lat, alph)
+            for t in trees:
+                by_definition = lat.meet_all(paths.path_degree(rec, r) for r in delta(t))
+                assert by_definition == paths.degree_via_path_language(rec, t) == rec.degree(t)
+
+
+def test_degree_via_path_language_on_deep_spine():
+    """A spine of height 10**4 has 10**4 + 1 paths; the route walks their shared prefixes once."""
+    rng = seeded(107)
+    alph = fixtures.alphabet_mixed()
+    n = 10**4
+    spine = spine_tree(alph, n)
+    for lat in (fixtures.chain4(), n5()):
+        for _ in range(2):
+            rec = random_dt(rng, lat, alph)
+            options = lambda a: [(rec.algebra.step("f", a), lat.top)]
+            want = spine_degrees(lat, alph, rec.weights, options, rec.algebra.states, n)[rec.initial]
+            assert paths.degree_via_path_language(rec, spine) == rec.degree_by_paths(spine) == want
 
 
 def test_path_image_never_exceeds_path_degree():

@@ -16,7 +16,6 @@ from lfta.terms import (
     RankedAlphabet,
     Tree,
     TreeHomomorphism,
-    _path_words,
     context_at,
     delta,
     hole,
@@ -104,8 +103,6 @@ def test_delta_is_the_path_set_sorted_by_text():
             t = random_tree(rng, alph, 4)
             got = delta(t)
             assert type(got) is tuple and list(got) == sorted(got, key=str)
-            words = _path_words(t)
-            assert len(words) == len(got) and set(words) == set(got)
 
 
 def test_path_parse_round_trip():
