@@ -47,6 +47,8 @@ class _Algebra:
 
     def __init__(self, alphabet, states, transitions):
         states, state_set = _check_states(states)
+        for f in transitions:
+            alphabet.arity(f)  # rejects a key that is no symbol of the alphabet
         checked_row, table = self._checked_row, {}
         for f, m in alphabet.symbols:
             rows = transitions.get(f, {})
@@ -421,6 +423,9 @@ def _check_initial_set(algebra, initial):
 
 def _check_finals(algebra, final):
     """The final state set of each leaf, checked against the algebra's states."""
+    for x in final:
+        if not algebra.alphabet.is_leaf(x):
+            raise ValidationError(f"unknown leaf {x!r}")
     table = {}
     state_set = set(algebra.states)
     for x in algebra.alphabet.leaves:

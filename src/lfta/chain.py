@@ -4,7 +4,8 @@ Over a totally ordered lattice each state has a well-defined best degree
 M(a); a recognizer is normalized when sibling states under every transition
 share that best degree.  Normalized recognizers make the subset construction
 compute the fuzzy path closure, which yields the decision procedure for
-deterministic recognizability.
+deterministic recognizability.  Path degrees and the subset construction
+only join final weights over the states a path reaches: any lattice will do.
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ def normalize(rec):
     states reachable from the new initial set are kept; with no initial
     state the result is one state that scores bottom.
     """
-    require_chain(rec.lattice)
     meet, top = rec.lattice._meet, rec.lattice.top
     table = max_values(rec)
     initial = frozenset((a, table[a]) for a in rec.initial)
@@ -123,7 +123,6 @@ def normalize(rec):
 
 def normalize_dt(rec):
     """Deterministic normalization; the construction stays deterministic."""
-    require_chain(rec.lattice)
     normalized = normalize(dt_to_ndt(rec))
     transitions = {}
     for f, _ in rec.alphabet.symbols:
@@ -141,7 +140,6 @@ def normalize_dt(rec):
 def path_degree_ndt(rec, path, start=None):
     """Best final weight over all states the path can lead to (0 if none),
     from the state `start` or, when it is None, from every initial state."""
-    require_chain(rec.lattice)
     join, best = rec.lattice._join, rec.lattice.bottom  # the weights were validated at construction
     for a in rec.initial if start is None else (start,):
         for b in rec.algebra.path_states(a, path.letters):
@@ -155,7 +153,6 @@ def subset_recognizer(rec):
     Shares the original's path language: the set of states reachable along a
     path determines the best weight the original could realize there.
     """
-    require_chain(rec.lattice)
     lat = rec.lattice
     join = lat._join  # the weights were validated at construction
     algebra = subset_algebra(rec.algebra, starts=[rec.initial])
@@ -252,7 +249,6 @@ def path_image_normalized(rec, path):
     For a normalized deterministic recognizer this supremum is realized and
     equals the path degree itself.
     """
-    require_chain(rec.lattice)
     if not is_normalized_dt(rec):
         raise NotNormalizedError("path image shortcut needs a normalized recognizer")
     return path_degree(rec, path)

@@ -25,11 +25,7 @@ from functools import reduce
 from itertools import islice, product as iproduct
 
 from .automata import Budget, NdtAlgebra, NdtRecognizer, refine, saturate
-from .errors import (
-    ForeignElementError,
-    NonDistributiveLatticeError,
-    TreeTooShortError,
-)
+from .errors import ForeignElementError, TreeTooShortError
 from .recognizers import check_same_alphabet, check_same_lattice
 from .terms import Context, Tree, context_at
 from .transforms import _dt_product_algebra
@@ -389,8 +385,6 @@ def ndt_compare(nf, ng, budget=DEFAULT_BUDGET):
     check_same_alphabet(nf, ng)
     check_same_lattice(nf, ng)
     lat = nf.lattice
-    if not lat.is_distributive():
-        raise NonDistributiveLatticeError("NDT equivalence needs a distributive lattice")
     join, bottom = lat._join, lat.bottom
 
     def joined(values):

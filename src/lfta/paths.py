@@ -77,10 +77,9 @@ def from_unary(rec, alphabet):
     return LDtRecognizer._built(rec.lattice, algebra, rec.initial, rec.weights)
 
 
-def path_degree(rec, path, start=None):
+def path_degree(rec, path):
     """The weight of the path's leaf at the state the path leads to."""
-    start = rec.initial if start is None else start
-    end = rec.algebra.path_state(start, path.letters)
+    end = rec.algebra.path_state(rec.initial, path.letters)
     return rec.weights[path.leaf][end]
 
 

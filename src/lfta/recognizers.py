@@ -21,6 +21,9 @@ from .terms import HOLE
 
 
 def _check_weights(lattice, alphabet, states, weights):
+    for x in weights:
+        if not alphabet.is_leaf(x):
+            raise ValidationError(f"unknown leaf {x!r}")
     table = {}
     state_set = set(states)
     for x in alphabet.leaves:
@@ -153,13 +156,16 @@ class GeneralLNdtRecognizer:
     """Nondeterministic recognizer with weighted transitions and initial states.
 
     Transition weights are stored sparsely; missing entries weigh bottom.
-    Evaluation requires a distributive lattice.
+    Evaluation takes any lattice; only `general_to_simple` needs a
+    distributive one.
     """
 
     __slots__ = ("lattice", "alphabet", "states", "transition_weights", "initial_weights", "weights", "_by_source")
 
     def __init__(self, lattice, alphabet, states, transition_weights, initial_weights, weights):
         states, state_set = _check_states(states)
+        for f in transition_weights:
+            alphabet.arity(f)  # rejects a key that is no symbol of the alphabet
         table = {}
         for f, m in alphabet.symbols:
             rows = {}
@@ -202,7 +208,6 @@ class GeneralLNdtRecognizer:
         return self.degree_map((t,))[t]
 
     def degree_map(self, trees):
-        self.require_distributive()
         bottom = self.lattice.bottom
         roots = [(a, c) for a, c in self.initial_weights.items() if c != bottom]
         return _evaluate(self.lattice, self.weights, self._options, roots, trees)

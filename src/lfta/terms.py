@@ -468,7 +468,7 @@ class TreeHomomorphism:
 
     def _injective(self):
         # Structural check: image symbols pairwise distinct and leaf map injective.
-        if not self._alphabetic():
+        if not self.is_alphabetic:
             return False
         leaf_targets = [img.symbol for img in self.leaf_images.values()]
         sym_targets = [self.symbol_images[f].symbol for f, _ in self.source.symbols]

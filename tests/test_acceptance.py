@@ -295,8 +295,7 @@ def test_criterion_7_decisions():
         else:
             w = verdict.disjointness_witness
             ok &= lattice.meet(f_rec.degree(w), g_rec.degree(w)) != lattice.bottom
-        if lattice.is_distributive():
-            ok &= decide.ndt_equivalent(dt_to_ndt(f_rec), dt_to_ndt(g_rec)) == verdict.equivalent
+        ok &= decide.ndt_equivalent(dt_to_ndt(f_rec), dt_to_ndt(g_rec)) == verdict.equivalent
         if not ok:
             break
 

@@ -20,6 +20,8 @@ from lfta.workspace import Workspace, load_text, serialize
 
 from helpers import (
     is_dt_recognizable_by_closure,
+    m3,
+    n5,
     random_dt,
     random_ndt,
     seeded,
@@ -38,15 +40,38 @@ def test_require_chain():
 
 
 def test_chain_guard_on_operations():
+    # a best degree needs a total order: max_values and what calls it raise
+    # its error, and is_dt_recognizable raises before its deterministic answer
     rng = seeded(90)
-    rec = random_ndt(rng, fixtures.diamond(), fixtures.alphabet_pair())
-    for op in (chain_ops.max_values, chain_ops.normalize, chain_ops.subset_recognizer):
-        with pytest.raises(NotAChainError):
-            op(rec)
-    # the gate comes before the deterministic answer
-    view = dt_to_ndt(random_dt(rng, fixtures.diamond(), fixtures.alphabet_pair()))
-    with pytest.raises(NotAChainError):
-        chain_ops.is_dt_recognizable(view)
+    path = parse_path("f.1 x")
+    for lattice in (fixtures.diamond(), n5(), m3()):
+        rec = random_ndt(rng, lattice, fixtures.alphabet_pair())
+        dt = random_dt(rng, lattice, fixtures.alphabet_pair())
+        for op in (
+            lambda: chain_ops.max_values(rec),
+            lambda: chain_ops.is_normalized(rec),
+            lambda: chain_ops.normalize(rec),
+            lambda: chain_ops.normalize_dt(dt),
+            lambda: chain_ops.path_closure_recognizer(rec),
+            lambda: chain_ops.witness_tree(rec, path),
+            lambda: chain_ops.path_image_normalized(dt, path),
+            lambda: chain_ops.is_dt_recognizable(dt_to_ndt(dt)),
+        ):
+            with pytest.raises(NotAChainError) as info:
+                op()
+            assert str(info.value) == "operation needs a totally ordered lattice"
+
+
+def test_subset_recognizer_shares_path_language_on_any_lattice():
+    # both sides join the final weights over the states a path reaches
+    rng = seeded(92)
+    alphabets = (fixtures.alphabet_pair(), fixtures.alphabet_mixed())
+    for lattice in (fixtures.diamond(), n5(), m3()):
+        for n in range(10):
+            rec = random_ndt(rng, lattice, alphabets[n % 2], max_states=3)
+            subset = chain_ops.subset_recognizer(rec)
+            for r in all_paths(rec.alphabet, 3):
+                assert paths.path_degree(subset, r) == chain_ops.path_degree_ndt(rec, r)
 
 
 def test_max_values_dead_branch():

@@ -204,6 +204,41 @@ def test_level_set_output_reloads():
         assert level.accepts(t) == (graded.degree(t) == "d")
 
 
+NON_DISTRIBUTIVE = """
+lattice N5 { elements 0 a b c 1 ; order 0<a a<b b<1 0<c c<1 }
+# the path f.1 x reaches p and q, which score c and d there
+lndt Fork over M2 alphabet Pair {
+  states r p q ; initial r ;
+  trans f r -> p p ; trans f r -> q q ;
+  final x : p=c q=d }
+# both score x at c and y at 0; f(x,x) scores a here and 0 in PentLeaf
+lndt Pent over N5 alphabet Pair {
+  states r p ; initial r ;
+  trans f r -> p p ;
+  final x : r=c p=a ; final y : p=b }
+lndt PentLeaf over N5 alphabet Pair { states r ; initial r ; final x : r=c }
+"""
+
+
+def test_ndt_commands_take_non_distributive_lattices(tmp_path, capsys):
+    extra = tmp_path / "nd.lfta"
+    extra.write_text(NON_DISTRIBUTIVE)
+    files = ["-f", GOLDENS, "-f", str(extra)]
+    for argv, code, out in [
+        (["eval-path", "Fork", "f.1 x"], 0, "1\n"),
+        (["eval-path", "Pent", "f.2 y"], 0, "b\n"),
+        (["decide", "ndt-equal", "Fork", "Fork"], 0, "yes\n"),
+        (["decide", "ndt-equal", "Pent", "PentLeaf"], 1, "no\n"),
+    ]:
+        assert main([*files, *argv]) == code
+        assert capsys.readouterr().out == out
+    for name in ("Fork", "Pent"):
+        assert main([*files, "subset", name]) == 0
+        merged = load_text(capsys.readouterr().out, load([GOLDENS, str(extra)]))
+        for path in ("x", "f.1 x", "f.2 y", "f.1 f.2 x"):
+            assert run("eval-path", [f"{name}_subset", path], merged) == run("eval-path", [name, path], merged)
+
+
 def test_budget_flag_guards_fixpoints():
     # an absurdly small budget trips the guard and exits 2; the two dead
     # branches are equal, but only the vector fixpoint can tell

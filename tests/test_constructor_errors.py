@@ -33,6 +33,7 @@ def raised(build):
         (["a"], {"f": {}}, "missing transition for 'f' from state 'a'"),
         (["a"], {"f": {"a": ("a",)}}, "transition 'f'/'a' must have 2 targets"),
         (["a"], {"f": {"a": ("a", "z")}}, "unknown target state 'z'"),
+        (["a"], {"f": {"a": ("a", "a")}, "g": {"a": ("a",)}}, "unknown symbol 'g'"),
     ],
 )
 def test_dt_algebra_errors(states, transitions, message):
@@ -47,6 +48,7 @@ def test_dt_algebra_errors(states, transitions, message):
         ([], {"f": {}}, "empty state set"),
         (["a"], {"f": {"a": [("a", "a"), ("a", "a", "a")]}}, "transition 'f'/'a' must have 2 targets"),
         (["a"], {"f": {"a": [("a", "a"), ("z", "a")]}}, "unknown target state 'z'"),
+        (["a"], {"f": {"a": []}, "x": {"a": []}}, "unknown symbol 'x'"),  # a leaf is no symbol
     ],
 )
 def test_ndt_algebra_errors(states, transitions, message):
@@ -68,6 +70,11 @@ def test_ndt_algebra_errors(states, transitions, message):
         (lambda: NdtRecognizer(ndt_algebra(), {"a"}, {"x": {"z"}}), "final set for 'x' mentions unknown states"),
         (lambda: LDtRecognizer(fixtures.b2(), dt_algebra(), "a", {"x": {"z": "1"}}), "final weight for unknown state 'z'"),
         (lambda: LNdtRecognizer(fixtures.b2(), ndt_algebra(), {"a"}, {"x": {"b": "1", "z": "1"}}), "final weight for unknown state 'z'"),
+        # a final table keyed by a name that is no leaf
+        (lambda: DtRecognizer(dt_algebra(), "a", {"x": {"a"}, "z": {"a"}}), "unknown leaf 'z'"),
+        (lambda: NdtRecognizer(ndt_algebra(), {"a"}, {"f": {"a"}}), "unknown leaf 'f'"),
+        (lambda: LDtRecognizer(fixtures.b2(), dt_algebra(), "a", {"z": {"a": "1"}}), "unknown leaf 'z'"),
+        (lambda: LNdtRecognizer(fixtures.b2(), ndt_algebra(), {"a"}, {"X": {"a": "1"}}), "unknown leaf 'X'"),
     ],
 )
 def test_recognizer_errors(build, message):
@@ -85,6 +92,18 @@ def test_recognizer_errors(build, message):
 )
 def test_general_recognizer_errors(states, initial_weights, message):
     exc = raised(lambda: GeneralLNdtRecognizer(fixtures.b2(), SOLO, states, {}, initial_weights, {"x": {}}))
+    assert type(exc) is ValidationError and str(exc) == message
+
+
+@pytest.mark.parametrize(
+    "transition_weights, weights, message",
+    [
+        ({"f": {}, "g": {}}, {"x": {}}, "unknown symbol 'g'"),
+        ({}, {"x": {}, "z": {"a": "1"}}, "unknown leaf 'z'"),
+    ],
+)
+def test_general_recognizer_rejects_tables_keyed_outside_the_alphabet(transition_weights, weights, message):
+    exc = raised(lambda: GeneralLNdtRecognizer(fixtures.b2(), SOLO, ["a"], transition_weights, {"a": "1"}, weights))
     assert type(exc) is ValidationError and str(exc) == message
 
 

@@ -6,12 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lfta import automata, chain as chain_ops, decide, fixtures, transforms
 from lfta.automata import Budget, DtAlgebra, NdtAlgebra, NdtRecognizer, saturate
-from lfta.errors import (
-    BudgetExceededError,
-    ForeignElementError,
-    NonDistributiveLatticeError,
-    TreeTooShortError,
-)
+from lfta.errors import BudgetExceededError, ForeignElementError, TreeTooShortError
 from lfta.lattice import product
 from lfta.oracle import enum_trees, eval_reference, eval_reference_map
 from lfta.recognizers import LDtRecognizer, LNdtRecognizer, dt_to_ndt
@@ -518,14 +513,30 @@ def test_ndt_equivalent_agrees_with_dt_compare():
         assert dt_verdict == ndt_verdict
 
 
-def test_ndt_equivalent_needs_distributive():
-    from test_recognizers import pentagon
-
-    lat = pentagon()
+def test_ndt_compare_on_non_distributive_lattices_agrees_with_the_oracle():
+    # degrees are the recursive join of meets, so the vectors compose and the
+    # blocks score alike on any lattice.  48 pairs: self pairs, rewired pairs
+    # (3 equal, 13 unequal at an inner tree) and random pairs (all unequal)
     rng = seeded(75)
-    rec = random_ndt(rng, lat, fixtures.alphabet_solo())
-    with pytest.raises(NonDistributiveLatticeError):
-        decide.ndt_equivalent(rec, rec)
+    pools = ((fixtures.alphabet_pair(), enum_trees(fixtures.alphabet_pair(), 3)),
+             (fixtures.alphabet_mixed(), enum_trees(fixtures.alphabet_mixed(), 2)))
+    inner_witnesses, rewired_equal = 0, 0
+    for lattice in (n5(), m3()):
+        for n in range(24):
+            alphabet, pool = pools[n % 2]
+            nf = random_ndt(rng, lattice, alphabet, max_states=3)
+            kind = n % 3
+            ng = nf if kind == 0 else _rewired(rng, nf) if kind == 1 else random_ndt(rng, lattice, alphabet, 3)
+            equal, witness = got = decide.ndt_compare(nf, ng, budget=10**5)
+            assert got == ndt_compare_by_state_vectors(nf, ng)
+            assert decide.ndt_equivalent(nf, ng, budget=10**5) == equal
+            if equal:
+                assert eval_reference_map(nf, pool) == eval_reference_map(ng, pool)
+                rewired_equal += kind == 1
+            else:
+                assert eval_reference(nf, witness) != eval_reference(ng, witness)
+                inner_witnesses += witness.height > 0
+    assert rewired_equal > 0 and inner_witnesses > 0
 
 
 def test_ndt_compare_budget_counts_combinations():
@@ -640,11 +651,12 @@ def test_ndt_compare_answers_a_leaf_that_scores_differently_before_refining(monk
         decide.ndt_compare(*cases["deeper"][:2])
 
 
-def test_ndt_compare_guard_comes_before_the_leaf_answer():
+def test_ndt_compare_answers_one_state_n5_recognizers_at_the_leaf(monkeypatch):
     alphabet = fixtures.alphabet_pair()
     nf, ng = _one_state(n5(), alphabet, "ab", 1), _one_state(n5(), alphabet, "cb", 1)
-    with pytest.raises(NonDistributiveLatticeError):
-        decide.ndt_compare(nf, ng)
+    monkeypatch.setattr(decide, "refine", None)  # a leaf answer refines nothing
+    assert decide.ndt_compare(nf, ng, budget=0) == (False, parse_tree("x"))
+    assert eval_reference(nf, parse_tree("x")) != eval_reference(ng, parse_tree("x"))
 
 
 BLOCK_LATTICES = (fixtures.b2(), fixtures.chain4(), fixtures.diamond(), n5(), m3())

@@ -21,6 +21,7 @@ from helpers import (
     counting_copy,
     eager_evaluate,
     lattice_menu,
+    m3,
     n5,
     random_dt,
     random_general,
@@ -298,13 +299,25 @@ def test_general_requires_distributive():
         rec.require_distributive()
 
 
-def test_general_evaluation_rejects_pentagon():
+def test_general_evaluation_takes_non_distributive_lattices():
+    # evaluation is the recursive join of meets, on any lattice; only pushing
+    # the weights into states needs distributivity
     alph = fixtures.alphabet_solo()
     rec = GeneralLNdtRecognizer(pentagon(), alph, ["a"], {"f": {}}, {"a": "1"}, {"x": {"a": "1"}})
-    with pytest.raises(NonDistributiveLatticeError):
-        rec.degree(parse_tree("x"))
-    with pytest.raises(NonDistributiveLatticeError):
-        rec.degree_map([parse_tree("x")])
+    assert rec.degree(parse_tree("x")) == "1"
+    assert rec.degree_map([parse_tree("x"), parse_tree("f(x,x)")]) == {parse_tree("x"): "1", parse_tree("f(x,x)"): "0"}
+    with pytest.raises(NonDistributiveLatticeError) as info:
+        general_to_simple(rec)
+    assert str(info.value) == "general recognizers need a distributive lattice"
+    rng = seeded(41)
+    alph = fixtures.alphabet_pair()
+    pool = enum_trees(alph, 3)
+    for lat in (n5(), m3()):
+        for _ in range(6):
+            rec = random_general(rng, lat, alph)
+            assert rec.degree_map(pool) == {t: eval_reference(rec, t) for t in pool}
+            with pytest.raises(NonDistributiveLatticeError):
+                general_to_simple(rec)
 
 
 def test_general_degree_map_matches_oracle():
@@ -318,19 +331,14 @@ def test_general_degree_map_matches_oracle():
 
 
 def absorbing_cases(seed):
-    """Random DT, NDT and general recognizers whose weights include bottom and top.
-
-    General recognizers need a distributive lattice, so N5 gets DT and NDT
-    ones only.
-    """
+    """Random DT, NDT and general recognizers whose weights include bottom and top."""
     rng = seeded(seed)
     alph = fixtures.alphabet_mixed()
     for lat in (fixtures.b2(), fixtures.chain4(), fixtures.diamond(), n5()):
         for _ in range(3):
             yield random_dt(rng, lat, alph)
             yield random_ndt(rng, lat, alph, max_choices=3)
-            if lat.is_distributive():
-                yield random_general(rng, lat, alph)
+            yield random_general(rng, lat, alph)
 
 
 def test_absorbing_kernel_matches_oracle_on_pool():
