@@ -137,11 +137,10 @@ def normalize_dt(rec):
     return LDtRecognizer._built(rec.lattice, algebra, start, normalized.weights)
 
 
-def path_degree_ndt(rec, path, start=None):
-    """Best final weight over all states the path can lead to (0 if none),
-    from the state `start` or, when it is None, from every initial state."""
+def path_degree_ndt(rec, path):
+    """Best final weight over all states the path can lead to from an initial state (0 if none)."""
     join, best = rec.lattice._join, rec.lattice.bottom  # the weights were validated at construction
-    for a in rec.initial if start is None else (start,):
+    for a in rec.initial:
         for b in rec.algebra.path_states(a, path.letters):
             best = join[best][rec.weights[path.leaf][b]]
     return best
@@ -180,15 +179,16 @@ def is_dt_recognizable(rec, budget=DEFAULT_BUDGET):
     symbol and state is its own answer: with a sink state whose leaf
     weights are all bottom standing in for the missing choices (and for a
     missing initial state, whose language is constantly bottom) it is a DT
-    recognizer, and no combination is spent.  Otherwise the answer is
-    whether the language equals its own path closure, i.e. whether the
-    subset recognizer of a normalized form is equivalent to it.
+    recognizer, and no combination is spent.  The sink argument holds on
+    any lattice.  Otherwise the answer is whether the language equals its
+    own path closure, i.e. whether the subset recognizer of a normalized
+    form is equivalent to it, a criterion proved on chains.
     """
-    require_chain(rec.lattice)
     if len(rec.initial) <= 1 and all(
         len(choices) <= 1 for table in rec.algebra.transitions.values() for choices in table.values()
     ):
         return True
+    require_chain(rec.lattice)
     normalized = normalize(rec)
     closure = subset_recognizer(normalized)
     return ndt_compare(dt_to_ndt(closure), normalized, budget)[0]

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import islice, product as iproduct
 
-from .automata import Budget, NdtAlgebra, NdtRecognizer, refine, saturate
+from .automata import Budget, DtAlgebra, NdtAlgebra, NdtRecognizer, explore, refine, saturate
 from .errors import ForeignElementError, TreeTooShortError
 from .recognizers import check_same_alphabet, check_same_lattice
 from .terms import Context, Tree, context_at
-from .transforms import _dt_product_algebra
 
 DEFAULT_BUDGET = 10**6
 # the meet table of compare's cut values, bit pairs met bit by bit: u & v
@@ -262,19 +261,27 @@ def compare(f_rec, g_rec, budget=DEFAULT_BUDGET):
     Decided one join-irreducible cut at a time.  For a join-irreducible `j`,
     a leaf of the product automaton holds two bits, `j <= wf` and `j <= wg`,
     and an inner node takes their "and", because `j <= x meet y` exactly when
-    `j <= x` and `j <= y`.  Saturating that algebra gives every bit pair some
-    tree attains at the initial product state, with a witness.  Every element
-    is the join of the join-irreducibles below it, so `f(t) <= g(t)` fails
-    exactly when some cut reads (1, 0) at `t`, the degrees differ exactly
-    when some cut reads (1, 0) or (0, 1), and `f(t) meet g(t)` is above
-    bottom exactly when some cut reads (1, 1).  The cuts share one `budget`,
-    and the loop stops once inclusion and disjointness both have a witness.
+    `j <= x` and `j <= y`.  The product holds only the state pairs reachable
+    from the initial pair, whose facts depend on reachable pairs alone.
+    Saturating that algebra gives every bit pair some tree attains at the
+    initial pair, with a witness.  Every element is the join of the
+    join-irreducibles below it, so `f(t) <= g(t)` fails exactly when some
+    cut reads (1, 0) at `t`, the degrees differ exactly when some cut reads
+    (1, 0) or (0, 1), and `f(t) meet g(t)` is above bottom exactly when some
+    cut reads (1, 1).  The cuts share one `budget`, and the loop stops once
+    inclusion and disjointness both have a witness.
     """
     check_same_alphabet(f_rec, g_rec)
     check_same_lattice(f_rec, g_rec)
     lat = f_rec.lattice
-    algebra = _dt_product_algebra(f_rec, g_rec)
+    step_f, step_g = f_rec.algebra.step, g_rec.algebra.step
+
+    def expand(f, ab):
+        row = tuple(zip(step_f(f, ab[0]), step_g(f, ab[1])))
+        return row, row
+
     start = (f_rec.initial, g_rec.initial)
+    algebra = DtAlgebra._built(f_rec.alphabet, *explore(f_rec.alphabet, [start], expand))
     budget = Budget(budget)
     # first witness per cut value: 1 = j below f(t) only, 2 = below g(t) only, 3 = below both
     witnesses = {}

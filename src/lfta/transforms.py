@@ -69,25 +69,17 @@ def parallel_product(nf, ng):
     return PairedRecognizer(rec, nf, ng)
 
 
-def _dt_product_algebra(f_rec, g_rec):
-    states = [(a, b) for a in f_rec.algebra.states for b in g_rec.algebra.states]
-    transitions = {}
-    for f, m in f_rec.alphabet.symbols:
-        rows = {}
-        for a, b in states:
-            ta = f_rec.algebra.step(f, a)
-            tb = g_rec.algebra.step(f, b)
-            rows[(a, b)] = tuple(zip(ta, tb))
-        transitions[f] = rows
-    return DtAlgebra._built(f_rec.alphabet, states, transitions)
-
-
 def _dt_product(f_rec, g_rec, lattice, combine):
-    """Two DTs run side by side over state pairs; a leaf at a pair weighs
+    """Two DTs run side by side over all state pairs; a leaf at a pair weighs
     `combine` of the two weights, in `lattice`."""
     check_same_alphabet(f_rec, g_rec)
     check_same_lattice(f_rec, g_rec)
-    algebra = _dt_product_algebra(f_rec, g_rec)
+    states = [(a, b) for a in f_rec.algebra.states for b in g_rec.algebra.states]
+    step_f, step_g = f_rec.algebra.step, g_rec.algebra.step
+    transitions = {}
+    for f, _ in f_rec.alphabet.symbols:
+        transitions[f] = {(a, b): tuple(zip(step_f(f, a), step_g(f, b))) for a, b in states}
+    algebra = DtAlgebra._built(f_rec.alphabet, states, transitions)
     weights = {
         x: {(a, b): combine(f_rec.weights[x][a], g_rec.weights[x][b]) for a, b in algebra.states}
         for x in f_rec.alphabet.leaves

@@ -34,7 +34,7 @@ from itertools import product as iproduct
 from math import prod
 
 from lfta import chain as chain_ops
-from lfta import decide, fixtures
+from lfta import decide, fixtures, transforms
 from lfta.automata import Budget, DtAlgebra, NdtAlgebra, saturate
 from lfta.errors import CycleInOrderError, ForeignElementError, MissingBoundError, NotALatticeError
 from lfta.lattice import validate
@@ -47,7 +47,6 @@ from lfta.recognizers import (
     dt_to_ndt,
 )
 from lfta.terms import PathWord, Tree
-from lfta.transforms import _dt_product_algebra
 
 
 def lattice_menu():
@@ -236,14 +235,15 @@ def is_finite_support_by_height_layers(rec):
 def compare_by_value_pairs(f_rec, g_rec):
     """Inclusion, equivalence and disjointness of two DT recognizers.
 
-    Runs the attainable-pair fixpoint over the product automaton; the set it
-    computes is the exact range of simultaneous degree pairs, so each verdict
-    comes with a witness tree when it is negative.
+    Runs the attainable-pair fixpoint over the full product automaton, all
+    state pairs, taken from `lfta.transforms.intersect`; the set it computes
+    is the exact range of simultaneous degree pairs, so each verdict comes
+    with a witness tree when it is negative.
     """
     check_same_alphabet(f_rec, g_rec)
     check_same_lattice(f_rec, g_rec)
     lat = f_rec.lattice
-    algebra = _dt_product_algebra(f_rec, g_rec)
+    algebra = transforms.intersect(f_rec, g_rec).algebra
     leaf_value = lambda x, ab: (f_rec.weights[x][ab[0]], g_rec.weights[x][ab[1]])
     pairs = list(iproduct(lat.elements, repeat=2))
     meet = {p: {q: (lat.meet(p[0], q[0]), lat.meet(p[1], q[1])) for q in pairs} for p in pairs}
@@ -308,24 +308,25 @@ def is_dt_recognizable_by_closure(rec, budget=decide.DEFAULT_BUDGET):
 
 def witness_tree_by_rescans(rec, path):
     """`lfta.chain.witness_tree` as it was before its backward pass: each
-    step scores every choice by `path_degree_ndt` over the rest of the path,
-    which takes time quadratic in the path length."""
+    step scores every choice by the path degree of the rest of the path from
+    that choice, which takes time quadratic in the path length."""
     lat = rec.lattice
     table = chain_ops.max_values(rec)
     filler = Tree(rec.alphabet.leaves[0])
+
+    def degree_from(b, rest):  # best final weight over the states `rest` leads to from `b`
+        leaf = rec.weights[rest.leaf]
+        return lat.join_all([lat.bottom] + [leaf[c] for c in rec.algebra.path_states(b, rest.letters)])
+
     descending = bool(rec.initial)
     if descending:
-        a = chain_ops._argmax(
-            lat, sorted(rec.initial, key=repr), lambda b: chain_ops.path_degree_ndt(rec, path, start=b)
-        )
+        a = chain_ops._argmax(lat, sorted(rec.initial, key=repr), lambda b: degree_from(b, path))
     steps = []
     for k, (f, i) in enumerate(path.letters):
         choices = rec.algebra.choices(f, a) if descending else ()
         if choices:
             rest = PathWord(path.letters[k + 1 :], path.leaf)
-            tup = chain_ops._argmax(
-                lat, sorted(choices, key=repr), lambda c: chain_ops.path_degree_ndt(rec, rest, start=c[i - 1])
-            )
+            tup = chain_ops._argmax(lat, sorted(choices, key=repr), lambda c: degree_from(c[i - 1], rest))
             steps.append((f, i, [table.witnesses[b] for b in tup]))
             a = tup[i - 1]
         else:

@@ -41,12 +41,14 @@ def test_require_chain():
 
 def test_chain_guard_on_operations():
     # a best degree needs a total order: max_values and what calls it raise
-    # its error, and is_dt_recognizable raises before its deterministic answer
+    # its error, and so does is_dt_recognizable on a nondeterministic input
     rng = seeded(90)
     path = parse_path("f.1 x")
     for lattice in (fixtures.diamond(), n5(), m3()):
         rec = random_ndt(rng, lattice, fixtures.alphabet_pair())
         dt = random_dt(rng, lattice, fixtures.alphabet_pair())
+        two_roots = {parse_tree("f(x,y)"): lattice.top, parse_tree("f(y,x)"): lattice.top}
+        union = from_finite_language(lattice, fixtures.alphabet_pair(), two_roots)
         for op in (
             lambda: chain_ops.max_values(rec),
             lambda: chain_ops.is_normalized(rec),
@@ -55,7 +57,7 @@ def test_chain_guard_on_operations():
             lambda: chain_ops.path_closure_recognizer(rec),
             lambda: chain_ops.witness_tree(rec, path),
             lambda: chain_ops.path_image_normalized(dt, path),
-            lambda: chain_ops.is_dt_recognizable(dt_to_ndt(dt)),
+            lambda: chain_ops.is_dt_recognizable(union),
         ):
             with pytest.raises(NotAChainError) as info:
                 op()
@@ -347,6 +349,22 @@ def test_is_dt_recognizable_answers_deterministic_input_at_once():
     assert not all_bottom.initial
     assert chain_ops.is_dt_recognizable(all_bottom, budget=0)
     assert is_path_closed(FiniteFuzzyLanguage(b2, pair, support))
+
+
+def test_is_dt_recognizable_answers_deterministic_input_on_any_lattice():
+    # the sink argument needs no total order: a one-tree language is
+    # deterministic and path-closed on every lattice
+    rng = seeded(112)
+    pair = fixtures.alphabet_pair()
+    trees = enum_trees(pair, 2)
+    for lattice in (fixtures.diamond(), n5(), m3()):
+        for value in lattice.elements:
+            support = {rng.choice(trees): value}
+            assert chain_ops.is_dt_recognizable(from_finite_language(lattice, pair, support), budget=0)
+            assert is_path_closed(FiniteFuzzyLanguage(lattice, pair, support))
+        for _ in range(4):
+            dt = dt_to_ndt(random_dt(rng, lattice, fixtures.alphabet_mixed()))
+            assert chain_ops.is_dt_recognizable(dt, budget=0)
 
 
 def test_empty_initial_set_normalizes_to_one_bottom_state():

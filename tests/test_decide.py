@@ -1,5 +1,6 @@
 import importlib.util
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -454,6 +455,21 @@ def test_compare_shares_one_budget_across_its_cuts():
     assert _least_budget(lambda budget: decide.compare(chain4_rec, chain4_rec, budget)) == 3 * one_cut
 
 
+def test_compare_budget_ignores_unreachable_states():
+    # four self-looping states that no run reaches add no pair to the product
+    rec = random_dt(seeded(7), fixtures.chain4(), fixtures.alphabet_mixed())
+    extra = [f"z{i}" for i in range(4)]
+    transitions = {
+        f: {**rec.algebra.transitions[f], **{z: (z,) * m for z in extra}} for f, m in rec.alphabet.symbols
+    }
+    weights = {x: {**row, **{z: rec.lattice.top for z in extra}} for x, row in rec.weights.items()}
+    algebra = DtAlgebra(rec.alphabet, list(rec.algebra.states) + extra, transitions)
+    padded = LDtRecognizer(rec.lattice, algebra, rec.initial, weights)
+    least = _least_budget(lambda budget: decide.compare(rec, rec, budget))
+    assert _least_budget(lambda budget: decide.compare(padded, padded, budget)) == least
+    assert _least_budget(lambda budget: decide.compare(rec, padded, budget)) == least
+
+
 def test_finite_support_edge_loop_draws_on_the_budget():
     # over a unary symbol the edge loop has no siblings to meet, only the child's degrees
     unary = RankedAlphabet({"g": 1}, ["x"])
@@ -764,6 +780,18 @@ def test_is_dt_recognizable_answers_a_1968_state_closure_from_its_blocks():
     closure = dt_to_ndt(chain_ops.path_closure_recognizer(nd))
     assert len(closure.algebra.states) == 1968
     assert chain_ops.is_dt_recognizable(closure, budget=0)
+
+
+def test_compare_answers_a_1968_state_closure_on_its_reachable_pairs():
+    # the full product of the closure with itself holds 1968**2 pairs; a
+    # renamed copy reaches as few, one per state
+    nd = random_ndt(seeded(2006), fixtures.chain4(), fixtures.alphabet_mixed(), max_states=10)
+    closure = chain_ops.path_closure_recognizer(nd)
+    assert len(closure.algebra.states) == 1968
+    permuted = _perfbench_gen().permuted_dt(Random(3), closure)
+    for other in (closure, permuted):
+        cmp = decide.compare(closure, other)
+        assert (cmp.included, cmp.equivalent, cmp.disjoint) == (True, True, False)
 
 
 def test_level_set_graded_square():

@@ -21,7 +21,7 @@ ALLOWED = {
     ("chain", "require_chain"),  # the chain guard itself
     ("recognizers", "GeneralLNdtRecognizer.require_distributive"),  # the distributivity guard itself
     ("chain", "max_values"),  # a best degree per state needs a total order
-    # the path-closure criterion is proved on chains; deterministic input meets the gate before its own answer
+    # the path-closure criterion is proved on chains; deterministic input is answered before the gate, on any lattice
     ("chain", "is_dt_recognizable"),
     ("recognizers", "general_to_simple"),  # pushing a weight into a join needs distributivity
     # keeping the nonzero weights gives the support only when nonzero degrees meet above zero
