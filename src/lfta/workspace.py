@@ -200,6 +200,13 @@ class _Parser:
         return clauses
 
 
+def _once(table, key, value, what="clause"):
+    """Set `table[key]` to `value`; a key already there is a repeated clause or symbol."""
+    if key in table:
+        raise ParseError(f"repeated {what} {key!r}")
+    table[key] = value
+
+
 def _split_pairs(tokens, sep, clause):
     pairs = []
     for tok in tokens:
@@ -233,17 +240,15 @@ def load_text(text, workspace=None):
     while p.peek() is not None:
         kind = p.next()
         if kind == "lattice":
-            name = p.next()
-            elements, order = [], []
-            for clause in p.clauses():
-                head, rest = clause[0], clause[1:]
+            name, body = p.next(), {}
+            for head, *rest in p.clauses():
                 if head == "elements":
-                    elements = rest
+                    _once(body, head, rest)
                 elif head == "order":
-                    order = _split_pairs(rest, "<", "order clause")
+                    _once(body, head, _split_pairs(rest, "<", "order clause"))
                 else:
                     raise ParseError(f"unknown lattice clause {head!r}")
-            ws.add_lattice(name, Lattice(elements, order))
+            ws.add_lattice(name, Lattice(body.get("elements", []), body.get("order", [])))
         elif kind == "chain":
             name = p.next()
             labels = [t for c in p.clauses() for t in c if t != "<"]
@@ -251,17 +256,17 @@ def load_text(text, workspace=None):
             ws.add_lattice(name, make_chain(labels))
         elif kind == "alphabet":
             name = p.next()
-            symbols, leaves = {}, []
+            symbols, once = {}, {}
             for clause in p.clauses():
                 if clause[0] == "leaves":
-                    leaves = clause[1:]
+                    _once(once, "leaves", clause[1:])
                 else:
                     for tok in clause:
                         sym, slash, arity = tok.partition("/")
                         if not slash or not arity.isdigit():
                             raise ParseError(f"expected '<symbol>/<arity>', found {tok!r}")
-                        symbols[sym] = int(arity)
-            ws.add_alphabet(name, RankedAlphabet(symbols, leaves))
+                        _once(symbols, sym, int(arity), "symbol")
+            ws.add_alphabet(name, RankedAlphabet(symbols, once.get("leaves", [])))
         elif kind in _RECOGNIZER_KINDS:
             cls, weighted, deterministic = _RECOGNIZER_KINDS[kind]
             name = p.next()
@@ -331,15 +336,12 @@ def load_text(text, workspace=None):
 
 
 def _parse_recognizer_body(p, alphabet, deterministic):
-    states, initial = [], []
+    once = {}  # the states, initial and final <leaf> clauses
     transitions = {f: {} for f, _ in alphabet.symbols}
-    finals = {x: [] for x in alphabet.leaves}
     for clause in p.clauses():
         head = clause[0]
-        if head == "states":
-            states = clause[1:]
-        elif head == "initial":
-            initial = clause[1:]
+        if head in ("states", "initial"):
+            _once(once, head, clause[1:])
         elif head == "trans":
             if len(clause) < 4:
                 raise ParseError("trans clause needs 'trans <sym> <state> -> <targets>'")
@@ -353,10 +355,9 @@ def _parse_recognizer_body(p, alphabet, deterministic):
         elif head == "final":
             if len(clause) < 3 or clause[2] != ":":
                 raise ParseError("final clause needs 'final <leaf> : ...'")
-            x = clause[1]
-            if x not in finals:
-                raise ParseError(f"unknown leaf {x!r} in final clause")
-            finals[x] = clause[3:]
+            if clause[1] not in alphabet.leaves:
+                raise ParseError(f"unknown leaf {clause[1]!r} in final clause")
+            _once(once, f"final {clause[1]}", clause[3:])
         else:
             raise ParseError(f"unknown recognizer clause {head!r}")
     if deterministic:
@@ -365,7 +366,8 @@ def _parse_recognizer_body(p, alphabet, deterministic):
                 if len(tups) != 1:
                     raise ValidationError(f"deterministic recognizer has {len(tups)} rules for {f!r}/{a!r}")
                 rows[a] = tups[0]
-    return states, initial, transitions, finals
+    finals = {x: once.get(f"final {x}", []) for x in alphabet.leaves}
+    return once.get("states", []), once.get("initial", []), transitions, finals
 
 
 def load(paths):

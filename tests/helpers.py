@@ -1,5 +1,9 @@
 """Seeded random generators shared by the property and acceptance tests.
 
+`desk(name)` gives a fresh copy of a named desk recognizer of
+`goldens/fixtures.lfta`, the one place they are defined, and
+`constant_recognizer` the one-state recognizer of a constant degree.
+
 Also the earlier DT deciders, by height layers and by pairs of lattice
 values, kept as verdict references for the cut and cycle-test versions in
 `lfta.decide`, and the evaluation kernel without its absorbing
@@ -30,8 +34,10 @@ import os
 import random
 import subprocess
 import sys
+from functools import cache
 from itertools import product as iproduct
 from math import prod
+from pathlib import Path
 
 from lfta import chain as chain_ops
 from lfta import decide, fixtures, transforms
@@ -47,6 +53,27 @@ from lfta.recognizers import (
     dt_to_ndt,
 )
 from lfta.terms import PathWord, Tree
+from lfta.workspace import load_text
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "goldens"
+
+
+@cache
+def _desk_text():
+    return (GOLDEN_DIR / "fixtures.lfta").read_text(encoding="utf-8")
+
+
+def desk(name):
+    """A fresh copy of the recognizer `name` of `goldens/fixtures.lfta`."""
+    return load_text(_desk_text()).recognizer(name)
+
+
+def constant_recognizer(lattice, alphabet, value):
+    """A one-state recognizer assigning `value` to every tree."""
+    transitions = {f: {"q": ("q",) * m} for f, m in alphabet.symbols}
+    algebra = DtAlgebra(alphabet, ["q"], transitions)
+    weights = {x: {"q": value} for x in alphabet.leaves}
+    return LDtRecognizer(lattice, algebra, "q", weights)
 
 
 def lattice_menu():

@@ -32,7 +32,7 @@ from lfta.terms import (
     var,
 )
 
-from helpers import random_dt, random_ndt, seeded, spine_tree
+from helpers import desk, random_dt, random_ndt, seeded, spine_tree
 
 from test_paths import all_paths
 
@@ -74,21 +74,21 @@ def test_criterion_1_example_goldens():
     ok &= closure == {parse_tree(s) for s in ("f(x,y)", "f(y,x)", "f(x,x)", "f(y,y)")}
 
     # the diamond-valued pair recognizer
-    matched = fixtures.matched_leaves()
+    matched = desk("MatchedLeaves")
     ok &= matched.degree(parse_tree("f(x,x)")) == "c"
     ok &= matched.degree(parse_tree("f(y,y)")) == "d"
     ok &= matched.degree(parse_tree("f(x,y)")) == "0"
     ok &= matched.degree(parse_tree("f(y,x)")) == "0"
 
     # level set of the graded square at d, via the crisp level construction
-    graded = fixtures.graded_square()
+    graded = desk("GradedSquare")
     level = decide.level_set(graded, "d")
     accepted = {str(u) for u in enum_trees(graded.alphabet, 2) if level.accepts(u)}
     ok &= accepted == {"f(x,x)", "f(x,y)", "f(y,x)"}
 
     # dead branch triple: zero language, live path, separating twins
-    dead = fixtures.dead_branch()
-    mirror = fixtures.dead_branch_mirror()
+    dead = desk("DeadBranch")
+    mirror = desk("DeadBranchMirror")
     pool = enum_trees(dead.alphabet, 3)
     ok &= all(dead.degree(u) == "0" for u in pool)
     ok &= paths.path_degree(dead, parse_path("f.1 x")) == "1"
@@ -211,7 +211,7 @@ def test_criterion_5_transform_soundness():
         crisp = transforms.cut(f_rec, c)
         ok &= all(crisp.accepts(u) == lat.leq(c, f_vals[u]) for u in pool)
 
-    matched = fixtures.matched_leaves()
+    matched = desk("MatchedLeaves")
     m_pool = enum_trees(matched.alphabet, 3)
     collapse = LatticeMorphism(diamond, diamond, {"0": "0", "c": "0", "d": "d", "1": "d"})
     mapped = transforms.map_values(matched, collapse).degree_map(m_pool)
@@ -228,7 +228,7 @@ def test_criterion_5_transform_soundness():
 def test_criterion_6_chain_suite():
     rng = seeded(1006)
     ok = True
-    recognizers = [dt_to_ndt(fixtures.graded_square()), dt_to_ndt(fixtures.dead_branch())]
+    recognizers = [dt_to_ndt(desk("GradedSquare")), dt_to_ndt(desk("DeadBranch"))]
     recognizers += [
         random_ndt(rng, fixtures.chain4() if n % 2 else fixtures.chain3(), fixtures.alphabet_pair(), max_states=3)
         for n in range(10)
@@ -308,8 +308,8 @@ def test_criterion_7_decisions():
         fixtures.chain3(), alph, {parse_tree(s): "1" for s in ("f(x,x)", "f(x,y)", "f(y,x)")}
     )
     ok &= not chain_ops.is_dt_recognizable(level_language)
-    ok &= chain_ops.is_dt_recognizable(dt_to_ndt(fixtures.graded_square()))
-    for rec in (union, dt_to_ndt(fixtures.graded_square())):
+    ok &= chain_ops.is_dt_recognizable(dt_to_ndt(desk("GradedSquare")))
+    for rec in (union, dt_to_ndt(desk("GradedSquare"))):
         closed = chain_ops.path_closure_recognizer(rec)
         ok &= chain_ops.is_dt_recognizable(dt_to_ndt(closed))
     report(7, "comparison and recognizability decisions match the oracle", ok)

@@ -12,11 +12,11 @@ from lfta.automata import (
 from lfta.errors import ValidationError
 from lfta.terms import RankedAlphabet, Tree, parse_tree
 
-from helpers import accepting_states, random_ndt, random_tree, seeded, spine_degrees, spine_tree
+from helpers import accepting_states, desk, random_ndt, random_tree, seeded, spine_degrees, spine_tree
 
 
 def dead_branch_algebra():
-    return fixtures.dead_branch().algebra
+    return desk("DeadBranch").algebra
 
 
 def test_run_tree_annotations():

@@ -19,6 +19,8 @@ from lfta.terms import PathWord, delta, parse_path, parse_tree
 from lfta.workspace import Workspace, load_text, serialize
 
 from helpers import (
+    constant_recognizer,
+    desk,
     is_dt_recognizable_by_closure,
     m3,
     n5,
@@ -77,13 +79,13 @@ def test_subset_recognizer_shares_path_language_on_any_lattice():
 
 
 def test_max_values_dead_branch():
-    table = chain_ops.max_values(dt_to_ndt(fixtures.dead_branch()))
+    table = chain_ops.max_values(dt_to_ndt(desk("DeadBranch")))
     assert table.values == {"a0": "0", "a": "1", "b": "0"}
 
 
 def test_max_values_all_zero():
     lat = fixtures.b2()
-    rec = fixtures.constant_recognizer(lat, fixtures.alphabet_solo(), "0")
+    rec = constant_recognizer(lat, fixtures.alphabet_solo(), "0")
     table = chain_ops.max_values(dt_to_ndt(rec))
     assert set(table.values.values()) == {"0"}
 
@@ -115,8 +117,8 @@ def test_max_values_witnesses():
 
 
 def test_is_normalized():
-    assert not chain_ops.is_normalized_dt(fixtures.dead_branch())
-    one_state = fixtures.constant_recognizer(fixtures.b2(), fixtures.alphabet_solo(), "1")
+    assert not chain_ops.is_normalized_dt(desk("DeadBranch"))
+    one_state = constant_recognizer(fixtures.b2(), fixtures.alphabet_solo(), "1")
     assert chain_ops.is_normalized_dt(one_state)
 
 
@@ -146,14 +148,14 @@ def test_normalize_dt_stays_deterministic_and_equivalent():
 
 def test_normalize_dt_kills_phantom_paths():
     # the dead branch's phantom path value disappears once normalized
-    rec = fixtures.dead_branch()
+    rec = desk("DeadBranch")
     assert paths.path_degree(rec, parse_path("f.1 x")) == "1"
     normalized = chain_ops.normalize_dt(rec)
     assert paths.path_degree(normalized, parse_path("f.1 x")) == "0"
 
 
 def test_path_degree_ndt():
-    rec = dt_to_ndt(fixtures.dead_branch())
+    rec = dt_to_ndt(desk("DeadBranch"))
     assert chain_ops.path_degree_ndt(rec, parse_path("f.1 x")) == "1"
     assert chain_ops.path_degree_ndt(rec, parse_path("f.2 x")) == "0"
     # unreachable end gives the empty-best value 0
@@ -188,7 +190,7 @@ def test_subset_recognizer_shares_path_language():
 
 
 def test_subset_recognizer_of_deterministic_input():
-    rec = fixtures.graded_square()
+    rec = desk("GradedSquare")
     subset = chain_ops.subset_recognizer(dt_to_ndt(rec))
     for t in enum_trees(rec.alphabet, 2):
         assert subset.degree(t) == rec.degree(t)
@@ -207,7 +209,7 @@ def test_subset_recognizer_empty_initial():
 
 
 def test_witness_tree_examples():
-    rec = chain_ops.normalize(dt_to_ndt(fixtures.dead_branch()))
+    rec = chain_ops.normalize(dt_to_ndt(desk("DeadBranch")))
     r = parse_path("x")
     assert chain_ops.witness_tree(rec, r) == parse_tree("x")
     r = parse_path("f.1 x")
@@ -218,7 +220,7 @@ def test_witness_tree_examples():
 
 def test_witness_tree_requires_normalized():
     with pytest.raises(NotNormalizedError):
-        chain_ops.witness_tree(dt_to_ndt(fixtures.dead_branch()), parse_path("f.1 x"))
+        chain_ops.witness_tree(dt_to_ndt(desk("DeadBranch")), parse_path("f.1 x"))
 
 
 def test_witness_tree_realizes_path_degree():
@@ -295,14 +297,14 @@ def test_path_closure_recognizer_union_witness():
 
 
 def test_path_closure_recognizer_fixes_closed_language():
-    rec = dt_to_ndt(fixtures.graded_square())
+    rec = dt_to_ndt(desk("GradedSquare"))
     closed = chain_ops.path_closure_recognizer(rec)
-    for t in enum_trees(fixtures.graded_square().alphabet, 2):
-        assert closed.degree(t) == fixtures.graded_square().degree(t)
+    for t in enum_trees(desk("GradedSquare").alphabet, 2):
+        assert closed.degree(t) == desk("GradedSquare").degree(t)
 
 
 def test_path_closure_of_zero_is_zero():
-    rec = dt_to_ndt(fixtures.dead_branch())
+    rec = dt_to_ndt(desk("DeadBranch"))
     closed = chain_ops.path_closure_recognizer(rec)
     for t in enum_trees(rec.alphabet, 3):
         assert closed.degree(t) == "0"
@@ -315,7 +317,7 @@ def test_is_dt_recognizable():
         lat, alph, {parse_tree("f(x,y)"): "1", parse_tree("f(y,x)"): "1"}
     )
     assert not chain_ops.is_dt_recognizable(union)
-    assert chain_ops.is_dt_recognizable(dt_to_ndt(fixtures.graded_square()))
+    assert chain_ops.is_dt_recognizable(dt_to_ndt(desk("GradedSquare")))
     level = from_finite_language(
         fixtures.chain3(),
         alph,
@@ -423,18 +425,18 @@ def test_is_dt_recognizable_agrees_with_oracle_closedness():
 
 
 def test_normalized_dt_path_image_shortcut():
-    rec = chain_ops.normalize_dt(fixtures.graded_square())
+    rec = chain_ops.normalize_dt(desk("GradedSquare"))
     for r in all_paths(rec.alphabet, 2)[:18]:
         shortcut = chain_ops.path_image_normalized(rec, r)
         assert shortcut == paths.path_degree(rec, r)
     with pytest.raises(NotNormalizedError):
-        chain_ops.path_image_normalized(fixtures.dead_branch(), parse_path("f.1 x"))
+        chain_ops.path_image_normalized(desk("DeadBranch"), parse_path("f.1 x"))
 
 
 def test_normalized_path_image_matches_bounded_oracle():
     # for a normalized recognizer the path value is attained by some tree,
     # so the bounded-height oracle image reaches it exactly
-    rec = chain_ops.normalize_dt(fixtures.graded_square())
+    rec = chain_ops.normalize_dt(desk("GradedSquare"))
     pool = enum_trees(rec.alphabet, 3)
     support = {t: v for t, v in rec.degree_map(pool).items() if v != "0"}
     image = path_image(FiniteFuzzyLanguage(rec.lattice, rec.alphabet, support))

@@ -13,11 +13,11 @@ from lfta.errors import ArityMismatchError, UnknownCommandError, ValidationError
 from lfta.terms import parse_tree
 from lfta.workspace import load, load_text
 
-from helpers import stdout_under_hash_seed
+from helpers import GOLDEN_DIR, desk, stdout_under_hash_seed
 
-GOLDENS = "goldens/fixtures.lfta"
-HOMS = "goldens/homs.lfta"
-EXPECTED = "goldens/cli_expected.txt"
+GOLDENS = str(GOLDEN_DIR / "fixtures.lfta")
+HOMS = str(GOLDEN_DIR / "homs.lfta")
+EXPECTED = GOLDEN_DIR / "cli_expected.txt"
 
 
 def ws():
@@ -197,9 +197,8 @@ def test_level_set_output_reloads():
     merged = load_text(out, workspace)
     level = merged.recognizer("AtD")
     from lfta.oracle import enum_trees
-    from lfta import fixtures
 
-    graded = fixtures.graded_square()
+    graded = desk("GradedSquare")
     for t in enum_trees(graded.alphabet, 2):
         assert level.accepts(t) == (graded.degree(t) == "d")
 

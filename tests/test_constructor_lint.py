@@ -16,7 +16,6 @@ CHECKED = {"DtAlgebra", "NdtAlgebra", "LDtRecognizer", "LNdtRecognizer", "DtReco
 # modules whose every call reads input from outside lfta, and why
 ALLOWED_MODULES = {
     "workspace": "recognizers read from workspace text",
-    "fixtures": "hand-written example recognizers",
 }
 
 # (module, qualified function) of each other call site allowed, and why

@@ -12,11 +12,12 @@ from lfta.lattice import product
 from lfta.oracle import enum_trees, eval_reference, eval_reference_map
 from lfta.recognizers import LDtRecognizer, LNdtRecognizer, dt_to_ndt
 from lfta.terms import RankedAlphabet, parse_tree
-from lfta.workspace import load
 
 from helpers import (
     caterpillar,
     compare_by_value_pairs,
+    constant_recognizer,
+    desk,
     is_finite_support_by_height_layers,
     lattice_menu,
     m3,
@@ -35,21 +36,21 @@ ALPHABETS = ((fixtures.alphabet_pair(), 3), (fixtures.alphabet_ternary(), 2))
 
 
 def test_height_bound_formula():
-    rec = fixtures.dead_branch()
+    rec = desk("DeadBranch")
     # weights {0,1}: meet-closure has 2 elements, 3 states
     assert decide.height_bound(rec) == (2 + 1) * 3
-    ones = fixtures.constant_recognizer(fixtures.b2(), fixtures.alphabet_solo(), "1")
+    ones = constant_recognizer(fixtures.b2(), fixtures.alphabet_solo(), "1")
     assert decide.height_bound(ones) == 2
 
 
 def test_height_bound_monotone_in_states():
-    small = fixtures.constant_recognizer(fixtures.b2(), fixtures.alphabet_solo(), "1")
-    big = fixtures.dead_branch()
+    small = constant_recognizer(fixtures.b2(), fixtures.alphabet_solo(), "1")
+    big = desk("DeadBranch")
     assert decide.height_bound(small) <= decide.height_bound(big)
 
 
 def test_pump_decompose_contract():
-    rec = fixtures.dead_branch()
+    rec = desk("DeadBranch")
     bound = decide.height_bound(rec)
     t = spine_tree(rec.alphabet, bound + 1)
     d = decide.pump_decompose(rec, t)
@@ -113,15 +114,15 @@ def test_pump_checks_score_the_tree_and_four_pumps_from_the_initial_state(monkey
 
 
 def test_pump_too_short():
-    rec = fixtures.dead_branch()
+    rec = desk("DeadBranch")
     with pytest.raises(TreeTooShortError):
         decide.pump_decompose(rec, parse_tree("x"))
 
 
 def test_value_range_fixtures():
-    assert decide.value_range(fixtures.matched_leaves()) == {"0", "c", "d"}
-    assert decide.value_range(fixtures.dead_branch()) == {"0"}
-    ones = fixtures.constant_recognizer(fixtures.b2(), fixtures.alphabet_solo(), "1")
+    assert decide.value_range(desk("MatchedLeaves")) == {"0", "c", "d"}
+    assert decide.value_range(desk("DeadBranch")) == {"0"}
+    ones = constant_recognizer(fixtures.b2(), fixtures.alphabet_solo(), "1")
     assert decide.value_range(ones) == {"1"}
 
 
@@ -148,16 +149,16 @@ def test_range_witnesses_evaluate_back():
 
 
 def test_emptiness_and_friends():
-    assert decide.is_empty_support(fixtures.dead_branch())
-    assert not decide.is_empty_support(fixtures.matched_leaves())
-    assert decide.is_finite_support(fixtures.matched_leaves())
-    ones = fixtures.constant_recognizer(fixtures.b2(), fixtures.alphabet_solo(), "1")
+    assert decide.is_empty_support(desk("DeadBranch"))
+    assert not decide.is_empty_support(desk("MatchedLeaves"))
+    assert decide.is_finite_support(desk("MatchedLeaves"))
+    ones = constant_recognizer(fixtures.b2(), fixtures.alphabet_solo(), "1")
     assert not decide.is_finite_support(ones)
     assert decide.is_constant(ones)
     assert decide.is_crisp(ones)
-    assert not decide.is_constant(fixtures.matched_leaves())
-    assert not decide.is_crisp(fixtures.graded_square())
-    assert decide.is_crisp(fixtures.dead_branch())
+    assert not decide.is_constant(desk("MatchedLeaves"))
+    assert not decide.is_crisp(desk("GradedSquare"))
+    assert decide.is_crisp(desk("DeadBranch"))
 
 
 def test_early_exits_answer_within_a_budget_the_range_exceeds():
@@ -202,10 +203,10 @@ def test_finiteness_against_enumeration():
 
 
 def test_compare_basics():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     same = decide.compare(rec, rec)
     assert same.included and same.equivalent
-    swapped = fixtures.matched_leaves_swapped()
+    swapped = desk("MatchedLeavesSwapped")
     crossed = decide.compare(rec, swapped)
     assert not crossed.equivalent
     assert crossed.disjoint  # c meet d = 0 pointwise
@@ -214,7 +215,7 @@ def test_compare_basics():
 
 
 def test_scalar_is_included():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     scaled = transforms.scalar(rec, "c")
     assert decide.compare(scaled, rec).included
     assert not decide.compare(rec, scaled).equivalent
@@ -474,7 +475,7 @@ def test_finite_support_edge_loop_draws_on_the_budget():
     # over a unary symbol the edge loop has no siblings to meet, only the child's degrees
     unary = RankedAlphabet({"g": 1}, ["x"])
     loop = LDtRecognizer(fixtures.b2(), DtAlgebra(unary, ["q"], {"g": {"q": ("q",)}}), "q", {"x": {"q": "1"}})
-    for rec in (fixtures.matched_leaves(), loop):
+    for rec in (desk("MatchedLeaves"), loop):
         saturation = _least_budget(lambda budget: decide.value_range(rec, budget))
         with pytest.raises(BudgetExceededError):
             decide.is_finite_support(rec, saturation)
@@ -559,8 +560,7 @@ def test_ndt_compare_budget_counts_combinations():
     # DeadBranch and its mirror both score 0 everywhere, but their initial
     # states fall in different blocks; their 2 joint vectors come from 4
     # rule combinations, as over the states
-    ws = load(["goldens/fixtures.lfta"])
-    left, right = dt_to_ndt(ws.recognizer("DeadBranch")), dt_to_ndt(ws.recognizer("DeadBranchMirror"))
+    left, right = dt_to_ndt(desk("DeadBranch")), dt_to_ndt(desk("DeadBranchMirror"))
     for budget in (1, 3):
         with pytest.raises(BudgetExceededError):
             decide.ndt_compare(left, right, budget=budget)
@@ -795,7 +795,7 @@ def test_compare_answers_a_1968_state_closure_on_its_reachable_pairs():
 
 
 def test_level_set_graded_square():
-    rec = fixtures.graded_square()
+    rec = desk("GradedSquare")
     at_d = decide.level_set(rec, "d")
     accepted = {str(t) for t in enum_trees(rec.alphabet, 2) if at_d.accepts(t)}
     assert accepted == {"f(x,x)", "f(x,y)", "f(y,x)"}
@@ -805,7 +805,7 @@ def test_level_set_graded_square():
 
 
 def test_level_set_unattainable_value_is_empty():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     at_top = decide.level_set(rec, "1")
     assert not at_top.nonempty()
     assert decide.level_in_domain(rec, "c")
@@ -838,9 +838,9 @@ def test_level_set_nonempty_matches_value_range():
 
 
 def test_level_preimage_nonempty():
-    rec = fixtures.dead_branch()
+    rec = desk("DeadBranch")
     assert not decide.level_preimage_nonempty(rec, {"1"})
     assert decide.level_preimage_nonempty(rec, {"0"})
     assert not decide.level_preimage_nonempty(rec, set())
-    graded = fixtures.graded_square()
+    graded = desk("GradedSquare")
     assert decide.level_preimage_nonempty(graded, decide.value_range(graded))

@@ -27,7 +27,7 @@ from lfta.lattice import LatticeMorphism
 from lfta.recognizers import from_finite_language
 from lfta.terms import delta, parse_tree
 
-from helpers import random_ndt, seeded
+from helpers import desk, random_ndt, seeded
 
 
 def test_enum_trees_counts():
@@ -305,7 +305,7 @@ def _crisp_generated(seed_trees, t):
 
 
 def test_eval_reference_agrees_on_fixtures():
-    for rec in (fixtures.matched_leaves(), fixtures.dead_branch(), fixtures.graded_square()):
+    for rec in (desk("MatchedLeaves"), desk("DeadBranch"), desk("GradedSquare")):
         pool = enum_trees(rec.alphabet, 3)
         assert eval_reference_map(rec, pool) == rec.degree_map(pool)
 

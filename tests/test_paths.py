@@ -5,7 +5,17 @@ from lfta.errors import AlphabetMismatchError
 from lfta.oracle import enum_trees, eval_reference_map, path_image
 from lfta.terms import PathWord, delta, parse_path, parse_tree
 
-from helpers import caterpillar, lattice_menu, n5, random_dt, random_tree, seeded, spine_degrees, spine_tree
+from helpers import (
+    caterpillar,
+    desk,
+    lattice_menu,
+    n5,
+    random_dt,
+    random_tree,
+    seeded,
+    spine_degrees,
+    spine_tree,
+)
 
 
 def all_paths(alphabet, max_len):
@@ -18,14 +28,14 @@ def all_paths(alphabet, max_len):
 
 
 def test_to_unary_transitions():
-    rec = fixtures.dead_branch()
+    rec = desk("DeadBranch")
     unary = paths.to_unary(rec)
     assert unary.algebra.step("f.1", "a0") == ("a",)
     assert unary.algebra.step("f.2", "a0") == ("b",)
 
 
 def test_unary_round_trip():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     back = paths.from_unary(paths.to_unary(rec), rec.alphabet)
     assert back.algebra.transitions == rec.algebra.transitions
     assert back.initial == rec.initial
@@ -33,13 +43,13 @@ def test_unary_round_trip():
 
 
 def test_from_unary_rejects_wrong_alphabet():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     with pytest.raises(AlphabetMismatchError):
         paths.from_unary(rec, rec.alphabet)
 
 
 def test_path_degree_examples():
-    rec = fixtures.dead_branch()
+    rec = desk("DeadBranch")
     assert paths.path_degree(rec, parse_path("f.1 x")) == "1"
     assert paths.path_degree(rec, parse_path("f.2 x")) == "0"
     assert paths.path_degree(rec, parse_path("x")) == rec.weights["x"]["a0"]
@@ -62,9 +72,9 @@ def test_path_tree_round_trip():
 
 
 def test_degree_via_path_language():
-    rec = fixtures.dead_branch()
+    rec = desk("DeadBranch")
     assert paths.degree_via_path_language(rec, parse_tree("f(x,x)")) == "0"
-    graded = fixtures.matched_leaves()
+    graded = desk("MatchedLeaves")
     assert paths.degree_via_path_language(graded, parse_tree("f(y,y)")) == "d"
     rng = seeded(83)
     for n in range(15):
@@ -113,7 +123,7 @@ def test_degree_via_path_language_on_deep_spine():
 
 def test_path_image_never_exceeds_path_degree():
     # the best degree of trees containing a path never beats the path's weight
-    rec = fixtures.dead_branch()
+    rec = desk("DeadBranch")
     pool = enum_trees(rec.alphabet, 3)
     language = {t: v for t, v in eval_reference_map(rec, pool).items() if v != "0"}
     image = path_image(from_language(rec, language))
@@ -131,8 +141,8 @@ def from_language(rec, language):
 
 
 def test_twins_separate_in_path_language_only():
-    left = fixtures.dead_branch()
-    right = fixtures.dead_branch_mirror()
+    left = desk("DeadBranch")
+    right = desk("DeadBranchMirror")
     # equal on every tree
     for t in enum_trees(left.alphabet, 3):
         assert left.degree(t) == right.degree(t)

@@ -16,9 +16,10 @@ from lfta.automata import DtAlgebra, NdtAlgebra
 from lfta.terms import HOLE, Context, RankedAlphabet, Tree, parse_context, parse_tree
 
 from helpers import (
-    CountingTree,
     caterpillar,
     counting_copy,
+    CountingTree,
+    desk,
     eager_evaluate,
     lattice_menu,
     m3,
@@ -34,7 +35,7 @@ from helpers import (
 
 
 def test_matched_leaves_degrees():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     assert rec.degree(parse_tree("f(x,x)")) == "c"
     assert rec.degree(parse_tree("f(y,y)")) == "d"
     assert rec.degree(parse_tree("f(x,y)")) == "0"
@@ -43,13 +44,13 @@ def test_matched_leaves_degrees():
 
 
 def test_dead_branch_is_constantly_zero():
-    rec = fixtures.dead_branch()
+    rec = desk("DeadBranch")
     for t in enum_trees(rec.alphabet, 3):
         assert rec.degree(t) == "0"
 
 
 def test_graded_square_support():
-    rec = fixtures.graded_square()
+    rec = desk("GradedSquare")
     values = {str(t): rec.degree(t) for t in enum_trees(rec.alphabet, 2)}
     nonzero = {k: v for k, v in values.items() if v != "0"}
     assert nonzero == {"f(x,x)": "d", "f(x,y)": "d", "f(y,x)": "d", "f(y,y)": "1"}
@@ -67,13 +68,13 @@ def test_degree_by_paths_agrees():
 
 
 def test_leaf_degree_is_initial_weight():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     assert rec.degree(parse_tree("x")) == rec.weights["x"]["a0"]
     assert rec.degree_by_paths(parse_tree("y")) == rec.weights["y"]["a0"]
 
 
 def test_context_degree():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     value, end = rec.context_degree("a0", parse_context("@"))
     assert (value, end) == ("1", "a0")
     value, end = rec.context_degree("a0", parse_context("f(@,y)"))
@@ -97,7 +98,7 @@ def test_context_degree_decomposition():
 
 def test_context_degree_composes():
     rng = seeded(27)
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     lattice = rec.lattice
     p = parse_context("f(@,y)")
     q = parse_context("f(x,@)")

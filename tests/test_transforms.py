@@ -14,7 +14,7 @@ from lfta.oracle import enum_trees, eval_reference, eval_reference_map
 from lfta.recognizers import dt_to_ndt, general_to_simple
 from lfta.terms import HOLE, RankedAlphabet, Tree, TreeHomomorphism, parse_context, parse_tree, var
 
-from helpers import lattice_menu, random_dt, random_general, random_ndt, seeded
+from helpers import constant_recognizer, desk, lattice_menu, random_dt, random_general, random_ndt, seeded
 
 
 def tree_pool(alphabet, height=3):
@@ -46,15 +46,15 @@ def test_parallel_product_diagonal():
 
 
 def test_parallel_product_of_twisted_pair():
-    left = dt_to_ndt(fixtures.matched_leaves())
-    right = dt_to_ndt(fixtures.matched_leaves_swapped())
+    left = dt_to_ndt(desk("MatchedLeaves"))
+    right = dt_to_ndt(desk("MatchedLeavesSwapped"))
     paired = transforms.parallel_product(left, right)
     assert split_pair_id(paired.recognizer.degree(parse_tree("f(x,x)"))) == ("c", "d")
 
 
 def test_dt_product_componentwise():
-    f_rec = fixtures.matched_leaves()
-    g_rec = fixtures.matched_leaves_swapped()
+    f_rec = desk("MatchedLeaves")
+    g_rec = desk("MatchedLeavesSwapped")
     paired = transforms.product_dt(f_rec, g_rec)
     assert split_pair_id(paired.recognizer.degree(parse_tree("f(x,x)"))) == ("c", "d")
     for t in tree_pool(f_rec.alphabet):
@@ -62,8 +62,8 @@ def test_dt_product_componentwise():
 
 
 def test_intersect_is_pointwise_meet():
-    f_rec = fixtures.matched_leaves()
-    g_rec = fixtures.matched_leaves_swapped()
+    f_rec = desk("MatchedLeaves")
+    g_rec = desk("MatchedLeavesSwapped")
     inter = transforms.intersect(f_rec, g_rec)
     lat = f_rec.lattice
     reference = eval_reference_map(f_rec, tree_pool(f_rec.alphabet))
@@ -74,9 +74,9 @@ def test_intersect_is_pointwise_meet():
 
 
 def test_intersect_with_self_and_constant():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     same = transforms.intersect(rec, rec)
-    ones = fixtures.constant_recognizer(rec.lattice, rec.alphabet, "1")
+    ones = constant_recognizer(rec.lattice, rec.alphabet, "1")
     masked = transforms.intersect(rec, ones)
     for t in tree_pool(rec.alphabet, 2):
         assert same.degree(t) == rec.degree(t)
@@ -85,14 +85,14 @@ def test_intersect_with_self_and_constant():
 
 def test_intersect_rejects_mismatched_lattices():
     with pytest.raises(LatticeMismatchError):
-        transforms.intersect(fixtures.matched_leaves(), fixtures.graded_square())
+        transforms.intersect(desk("MatchedLeaves"), desk("GradedSquare"))
 
 
 def test_top_concat():
     lat = fixtures.chain3()
     alph = fixtures.alphabet_pair()
-    ones = fixtures.constant_recognizer(lat, alph, "1")
-    ds = fixtures.constant_recognizer(lat, alph, "d")
+    ones = constant_recognizer(lat, alph, "1")
+    ds = constant_recognizer(lat, alph, "d")
     rec = transforms.top_concat("f", [ones, ds])
     for t in tree_pool(alph):
         if t.is_leaf:
@@ -121,7 +121,7 @@ def test_top_concat_oracle_equation():
 def test_top_concat_other_root_scores_zero():
     lat = fixtures.b2()
     alph = fixtures.alphabet_mixed()
-    ones = fixtures.constant_recognizer(lat, alph, "1")
+    ones = constant_recognizer(lat, alph, "1")
     rec = transforms.top_concat("f", [ones, ones])
     assert rec.degree(parse_tree("f(x,y)")) == "1"
     assert rec.degree(parse_tree("g(x)")) == "0"
@@ -132,11 +132,11 @@ def test_top_concat_arity_mismatch():
     lat = fixtures.b2()
     alph = fixtures.alphabet_pair()
     with pytest.raises(ArityMismatchError):
-        transforms.top_concat("f", [fixtures.constant_recognizer(lat, alph, "1")])
+        transforms.top_concat("f", [constant_recognizer(lat, alph, "1")])
 
 
 def test_context_quotient():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     p = parse_context("f(@,y)")
     quot = transforms.context_quotient(rec, p)
     assert quot.degree(parse_tree("x")) == "0"  # c meet d
@@ -145,14 +145,14 @@ def test_context_quotient():
 
 
 def test_context_quotient_identity():
-    rec = fixtures.graded_square()
+    rec = desk("GradedSquare")
     quot = transforms.context_quotient(rec, parse_context("@"))
     for t in tree_pool(rec.alphabet, 2):
         assert quot.degree(t) == rec.degree(t)
 
 
 def test_context_embed():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     p = parse_context("f(@,y)")
     embedded = transforms.context_embed(rec, p)
     plugged = {p.fill(t): t for t in tree_pool(rec.alphabet, 2)}
@@ -165,7 +165,7 @@ def test_context_embed():
 
 
 def test_context_embed_identity():
-    rec = fixtures.graded_square()
+    rec = desk("GradedSquare")
     embedded = transforms.context_embed(rec, parse_context("@"))
     for t in tree_pool(rec.alphabet, 2):
         assert embedded.degree(t) == rec.degree(t)
@@ -173,7 +173,7 @@ def test_context_embed_identity():
 
 def test_context_embed_with_repeated_shape():
     # the context's fixed part repeats the shape of likely plugged subtrees
-    rec = fixtures.graded_square()
+    rec = desk("GradedSquare")
     p = parse_context("f(@,f(x,x))")
     embedded = transforms.context_embed(rec, p)
     for s in tree_pool(rec.alphabet, 2):
@@ -183,7 +183,7 @@ def test_context_embed_with_repeated_shape():
 
 
 def test_context_embed_deep_context():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     p = parse_context("f(f(x,@),f(y,y))")
     embedded = transforms.context_embed(rec, p)
     for s in tree_pool(rec.alphabet, 2):
@@ -193,7 +193,7 @@ def test_context_embed_deep_context():
 def test_inverse_hom_identity():
     from lfta.terms import identity_hom
 
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     pulled = transforms.inverse_hom(rec, identity_hom(rec.alphabet))
     for t in tree_pool(rec.alphabet):
         assert pulled.degree(t) == rec.degree(t)
@@ -204,7 +204,7 @@ def unary_into_pair():
 
 
 def test_inverse_hom_duplicating():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     source = unary_into_pair()
     h = TreeHomomorphism(
         source,
@@ -220,7 +220,7 @@ def test_inverse_hom_duplicating():
 
 
 def test_inverse_hom_deleting():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     mixed = fixtures.alphabet_mixed()
     extended = transforms.inverse_hom(rec, _extend_hom(rec.alphabet, mixed))
     assert extended.degree(parse_tree("g(f(x,x))")) == "c"
@@ -240,7 +240,7 @@ def _extend_hom(target, mixed):
 
 def test_inverse_hom_constant_image():
     # a symbol image with no variables erases entire subtrees
-    rec = fixtures.graded_square()
+    rec = desk("GradedSquare")
     source = unary_into_pair()
     h = TreeHomomorphism(
         source,
@@ -275,7 +275,7 @@ def test_inverse_hom_random_sweep():
 
 
 def test_alphabetic_image():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     target = RankedAlphabet({"h": 2}, ["u", "v"])
     h = TreeHomomorphism(
         rec.alphabet,
@@ -289,7 +289,7 @@ def test_alphabetic_image():
 
 
 def test_alphabetic_image_off_image_is_zero():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     target = RankedAlphabet({"h": 2, "k": 1}, ["u", "v", "w"])
     h = TreeHomomorphism(
         rec.alphabet,
@@ -304,7 +304,7 @@ def test_alphabetic_image_off_image_is_zero():
 
 
 def test_alphabetic_image_requires_injective():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     target = RankedAlphabet({"h": 2}, ["u"])
     squash = TreeHomomorphism(
         rec.alphabet,
@@ -317,7 +317,7 @@ def test_alphabetic_image_requires_injective():
 
 
 def test_scalar():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     lat = rec.lattice
     for c in lat.elements:
         scaled = transforms.scalar(rec, c)
@@ -327,7 +327,7 @@ def test_scalar():
 
 
 def test_cut():
-    rec = fixtures.graded_square()
+    rec = desk("GradedSquare")
     lat = rec.lattice
     for c in lat.elements:
         crisp = transforms.cut(rec, c)
@@ -341,13 +341,13 @@ def test_cut():
 
 
 def test_cut_at_top_of_matched_leaves_accepts_nothing():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     top_cut = transforms.cut(rec, "1")
     assert not any(top_cut.accepts(t) for t in tree_pool(rec.alphabet))
 
 
 def test_characteristic_and_support_round_trip():
-    rec = fixtures.graded_square()
+    rec = desk("GradedSquare")
     crisp = transforms.cut(rec, "1")
     lifted = transforms.characteristic_dt(crisp, rec.lattice)
     back = transforms.support_dt(lifted)
@@ -357,7 +357,7 @@ def test_characteristic_and_support_round_trip():
 
 
 def test_support_dt():
-    rec = fixtures.graded_square()
+    rec = desk("GradedSquare")
     supp = transforms.support_dt(rec)
     for t in tree_pool(rec.alphabet, 2):
         assert supp.accepts(t) == (rec.degree(t) != "0")
@@ -365,11 +365,11 @@ def test_support_dt():
 
 def test_support_dt_rejects_diamond():
     with pytest.raises(ZeroNotIrreducibleError):
-        transforms.support_dt(fixtures.matched_leaves())
+        transforms.support_dt(desk("MatchedLeaves"))
 
 
 def test_lattice_map():
-    rec = fixtures.graded_square()
+    rec = desk("GradedSquare")
     lat = rec.lattice
     collapse = LatticeMorphism(lat, lat, {"0": "0", "d": "0", "1": "1"})
     mapped = transforms.map_values(rec, collapse)
@@ -380,7 +380,7 @@ def test_lattice_map():
 
 
 def test_lattice_map_identity():
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     identity = LatticeMorphism(rec.lattice, rec.lattice, {e: e for e in rec.lattice.elements})
     mapped = transforms.map_values(rec, identity)
     for t in tree_pool(rec.alphabet, 2):
@@ -499,7 +499,7 @@ def _unplugged(context, t):
 def test_embed_and_image_compose():
     """Each construction takes the other's output, and its own: the states it
     adds must not repeat states an earlier one added."""
-    rec = fixtures.matched_leaves()
+    rec = desk("MatchedLeaves")
     c = parse_context("f(@,y)")
     swap = TreeHomomorphism(
         rec.alphabet, rec.alphabet, {"x": Tree("y"), "y": Tree("x")}, {"f": Tree("f", [var(1), var(2)])}

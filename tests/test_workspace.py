@@ -1,4 +1,3 @@
-import glob
 import random
 
 import pytest
@@ -7,14 +6,15 @@ from hypothesis import given, settings, strategies as st
 from lfta import fixtures
 from lfta.automata import NdtAlgebra
 from lfta.errors import ParseError, ValidationError
-from lfta.oracle import enum_trees
+from lfta.oracle import enum_trees, eval_reference
 from lfta.recognizers import LNdtRecognizer
 from lfta.terms import parse_tree
 from lfta.workspace import Workspace, _Parser, load, load_text, serialize, state_token, tokenize
 
-from helpers import random_dt, random_ndt, tokenize_by_characters
+from helpers import GOLDEN_DIR, desk, random_dt, random_ndt, tokenize_by_characters
 
-GOLDENS = "goldens/fixtures.lfta"
+GOLDENS = str(GOLDEN_DIR / "fixtures.lfta")
+HOMS = str(GOLDEN_DIR / "homs.lfta")
 
 
 def test_load_goldens():
@@ -23,6 +23,7 @@ def test_load_goldens():
     assert set(ws.alphabets) == {"Pair", "Mixed", "Solo"}
     assert set(ws.recognizers) == {
         "MatchedLeaves",
+        "MatchedLeavesSwapped",
         "DeadBranch",
         "DeadBranchMirror",
         "GradedSquare",
@@ -31,35 +32,21 @@ def test_load_goldens():
 
 
 def test_loaded_recognizers_match_fixtures():
-    ws = load([GOLDENS])
-    pool = enum_trees(fixtures.alphabet_pair(), 2)
-    loaded = ws.recognizer("MatchedLeaves")
-    built = fixtures.matched_leaves()
-    for t in pool:
-        assert loaded.degree(t) == built.degree(t)
-    graded = ws.recognizer("GradedSquare")
-    for t in pool:
-        assert graded.degree(t) == fixtures.graded_square().degree(t)
-    union = ws.recognizer("UnionPair")
-    assert isinstance(union, LNdtRecognizer)
-    assert union.degree(parse_tree("f(x,y)")) == "1"
-    assert union.degree(parse_tree("f(x,x)")) == "0"
-
-
-def test_fixture_builders_and_the_golden_file_define_the_same_recognizers():
-    """The unit tests build these from `lfta.fixtures`, the transcript loads them from the golden file."""
-    golden = load([GOLDENS])
-    builders = {
-        "MatchedLeaves": fixtures.matched_leaves,
-        "DeadBranch": fixtures.dead_branch,
-        "DeadBranchMirror": fixtures.dead_branch_mirror,
-        "GradedSquare": fixtures.graded_square,
+    """Each desk recognizer has the support its comment documents, by the reference scorer."""
+    supports = {
+        "MatchedLeaves": {"f(x,x)": "c", "f(y,y)": "d"},
+        "MatchedLeavesSwapped": {"f(x,x)": "d", "f(y,y)": "c"},
+        "GradedSquare": {"f(x,x)": "d", "f(x,y)": "d", "f(y,x)": "d", "f(y,y)": "1"},
+        "UnionPair": {"f(x,y)": "1", "f(y,x)": "1"},
+        "DeadBranch": {},
+        "DeadBranchMirror": {},
     }
-    built, loaded = Workspace(), Workspace()
-    for name, build in builders.items():
-        built.add_recognizer(name, build())
-        loaded.add_recognizer(name, golden.recognizer(name))
-    assert built == loaded
+    ws = load([GOLDENS])
+    for name, support in supports.items():
+        rec = ws.recognizer(name)
+        degrees = {str(t): eval_reference(rec, t) for t in enum_trees(rec.alphabet, 3)}
+        assert {t: v for t, v in degrees.items() if v != rec.lattice.bottom} == support, name
+    assert isinstance(ws.recognizer("UnionPair"), LNdtRecognizer)
 
 
 def test_round_trip():
@@ -71,7 +58,7 @@ def test_round_trip():
 
 
 def test_round_trip_with_tree_hom_and_morphism_blocks():
-    ws = load([GOLDENS, "goldens/homs.lfta"])
+    ws = load([GOLDENS, HOMS])
     load_text("tree Wide alphabet Pair { f(x,f(y,x)) }\ntree Bare alphabet Solo { x }", ws)
     text = serialize(ws)
     for block in (
@@ -93,7 +80,7 @@ def test_programmatic_serialize_round_trip():
     from lfta.recognizers import dt_to_ndt
 
     ws = Workspace()
-    rec = chain_ops.subset_recognizer(dt_to_ndt(fixtures.graded_square()))
+    rec = chain_ops.subset_recognizer(dt_to_ndt(desk("GradedSquare")))
     ws.add_recognizer("Subset", rec)
     text = serialize(ws)
     again = load_text(text)
@@ -204,6 +191,30 @@ def test_duplicate_names_rejected():
         load_text(text)
 
 
+_HEAD = "chain C { 0 < 1 }\nalphabet A { f/2 ; leaves x y }\n"
+_BODY = "states q p ; initial q ; trans f q -> q q ; trans f p -> p p"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("alphabet A { f/2 f/1 ; leaves x y ; leaves z }", "repeated symbol 'f'"),
+        ("alphabet A { f/2 ; leaves x ; g/1 f/2 }", "repeated symbol 'f'"),
+        ("alphabet A { f/2 ; leaves x y ; leaves z }", "repeated clause 'leaves'"),
+        ("lattice L { elements 0 1 ; order 0<1 ; elements 0 1 }", "repeated clause 'elements'"),
+        ("lattice L { elements 0 1 ; order 0<1 ; order 0<1 }", "repeated clause 'order'"),
+        (_HEAD + f"ldt R over C alphabet A {{ {_BODY} ; states q }}", "repeated clause 'states'"),
+        (_HEAD + f"lndt R over C alphabet A {{ {_BODY} ; initial p }}", "repeated clause 'initial'"),
+        (_HEAD + f"ldt R over C alphabet A {{ {_BODY} ; final x : q=1 ; final x : p=1 }}", "repeated clause 'final x'"),
+        (_HEAD + f"dt R alphabet A {{ {_BODY} ; final y : q ; final y : }}", "repeated clause 'final y'"),
+    ],
+)
+def test_repeated_clauses_are_rejected(text, message):
+    with pytest.raises(ParseError) as info:
+        load_text(text)
+    assert str(info.value) == message
+
+
 def test_arity_mismatch_rejected():
     text = (
         "chain C { 0 < 1 }\n"
@@ -281,7 +292,7 @@ def test_tokenize_matches_the_character_reference(text):
 
 
 def test_tokenize_matches_the_character_reference_on_the_goldens():
-    for path in glob.glob("goldens/*.lfta"):
+    for path in GOLDEN_DIR.glob("*.lfta"):
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         assert tokenize(text) == tokenize_by_characters(text)
@@ -294,7 +305,7 @@ def test_parser_words_are_the_tokens_without_positions(text):
 
 
 def test_parser_words_are_the_tokens_without_positions_on_the_goldens():
-    for path in glob.glob("goldens/*.lfta"):
+    for path in GOLDEN_DIR.glob("*.lfta"):
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         assert _Parser(text).words == [w for w, _, _ in tokenize(text)]
@@ -323,8 +334,8 @@ def test_unknown_block_kind_carries_the_position_of_its_keyword(text, line, colu
 def test_load_errors_name_their_file(tmp_path):
     # homs.lfta refers to the alphabets of fixtures.lfta
     with pytest.raises(ValidationError) as info:
-        load(["goldens/homs.lfta"])
-    assert str(info.value) == "goldens/homs.lfta: unknown alphabet 'Pair'"
+        load([HOMS])
+    assert str(info.value) == f"{HOMS}: unknown alphabet 'Pair'"
     bad = tmp_path / "bad.lfta"
     bad.write_text("chain C { 0 < 1 }\n\thom h to A")
     with pytest.raises(ParseError) as info:
